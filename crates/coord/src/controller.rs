@@ -239,29 +239,21 @@ impl Controller {
         target: Option<IslandId>,
         mk: impl Fn(IslandId, u64) -> Action,
     ) -> Result<Vec<Action>, CoordError> {
-        let islands = self.registry.islands_of(entity);
-        if islands.is_empty() {
-            return Err(CoordError::UnknownEntity(entity));
+        let actions: Vec<Action> = self
+            .registry
+            .bindings_of(entity)
+            .filter(|&(island, _)| target.is_none_or(|t| t == island))
+            .map(|(island, key)| mk(island, key))
+            .collect();
+        if !actions.is_empty() {
+            return Ok(actions);
         }
-        let islands: Vec<IslandId> = match target {
-            None => islands,
-            Some(t) => {
-                if !islands.contains(&t) {
-                    return Err(CoordError::NotMapped { entity, island: t });
-                }
-                vec![t]
+        match target {
+            Some(island) if self.registry.bindings_of(entity).next().is_some() => {
+                Err(CoordError::NotMapped { entity, island })
             }
-        };
-        Ok(islands
-            .into_iter()
-            .map(|i| {
-                let key = self
-                    .registry
-                    .local_key(entity, i)
-                    .expect("islands_of implies binding");
-                mk(i, key)
-            })
-            .collect())
+            _ => Err(CoordError::UnknownEntity(entity)),
+        }
     }
 
     /// The registered kind of an island, if any.

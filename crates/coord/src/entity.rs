@@ -90,13 +90,16 @@ impl Registry {
         self.reverse.get(&(island, local_key)).copied()
     }
 
-    /// All islands an entity is bound on.
-    pub fn islands_of(&self, entity: EntityId) -> Vec<IslandId> {
+    /// Every `(island, local_key)` binding of `entity`, in island order.
+    pub fn bindings_of(&self, entity: EntityId) -> impl Iterator<Item = (IslandId, u64)> + '_ {
         self.forward
-            .keys()
-            .filter(|(e, _)| *e == entity)
-            .map(|(_, i)| *i)
-            .collect()
+            .range((entity, IslandId(0))..=(entity, IslandId(u16::MAX)))
+            .map(|(&(_, island), &key)| (island, key))
+    }
+
+    /// All islands an entity is bound on, in island order.
+    pub fn islands_of(&self, entity: EntityId) -> Vec<IslandId> {
+        self.bindings_of(entity).map(|(island, _)| island).collect()
     }
 
     /// Number of bindings.
@@ -165,5 +168,19 @@ mod tests {
         r.bind(e, IslandId(0), 1).unwrap();
         r.bind(e, IslandId(1), 0).unwrap();
         assert_eq!(r.islands_of(e), vec![IslandId(0), IslandId(1)]);
+    }
+
+    #[test]
+    fn bindings_of_skips_neighbouring_entities() {
+        let mut r = Registry::new();
+        r.bind(EntityId(4), IslandId(u16::MAX), 9).unwrap();
+        r.bind(EntityId(5), IslandId(2), 7).unwrap();
+        r.bind(EntityId(5), IslandId(0), 1).unwrap();
+        r.bind(EntityId(5), IslandId(u16::MAX), 3).unwrap();
+        r.bind(EntityId(6), IslandId(0), 8).unwrap();
+        let got: Vec<_> = r.bindings_of(EntityId(5)).collect();
+        let max = IslandId(u16::MAX);
+        assert_eq!(got, [(IslandId(0), 1), (IslandId(2), 7), (max, 3)]);
+        assert_eq!(r.bindings_of(EntityId(3)).count(), 0);
     }
 }

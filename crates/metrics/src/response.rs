@@ -47,14 +47,8 @@ impl ResponseStats {
     /// Records a completed request of type `key` with the given
     /// end-to-end latency. Values are summarised in milliseconds.
     pub fn record(&mut self, key: &str, latency: Nanos) {
-        self.per_type
-            .entry(key.to_owned())
-            .or_default()
-            .record_nanos(latency);
-        self.histograms
-            .entry(key.to_owned())
-            .or_insert_with(Histogram::latency_millis)
-            .record(latency.as_millis_f64());
+        slot(&mut self.per_type, key, Summary::new).record_nanos(latency);
+        slot(&mut self.histograms, key, Histogram::latency_millis).record(latency.as_millis_f64());
         self.all.record_nanos(latency);
         self.all_hist.record(latency.as_millis_f64());
     }
@@ -94,6 +88,15 @@ impl ResponseStats {
     pub fn types(&self) -> usize {
         self.per_type.len()
     }
+}
+
+/// The value under `key`, inserted from `new` on first use. Unlike
+/// `entry(key.to_owned())` it allocates the owned key only on a miss.
+fn slot<'m, V>(map: &'m mut BTreeMap<String, V>, key: &str, new: impl FnOnce() -> V) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_owned(), new());
+    }
+    map.get_mut(key).expect("present or just inserted")
 }
 
 #[cfg(test)]

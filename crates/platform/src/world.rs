@@ -23,9 +23,9 @@ use simcore::stats::Series;
 use crate::trace_event::TraceEvent;
 use simcore::trace::TraceBuffer;
 use crate::pdes;
-use simcore::{Component, EventQueue, HorizonCache, Nanos, SimRng};
+use simcore::{Component, EventQueue, HorizonCache, IdHashMap, Nanos, SimRng};
 use simtest::chaos::ChaosPlan;
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 use workloads::adversary::Adversary;
 use workloads::inference::InferenceModel;
 use workloads::mplayer::{Player, Source};
@@ -150,9 +150,9 @@ pub(crate) struct ClientState {
 #[derive(Debug)]
 pub(crate) struct RubisState {
     pub model: RubisModel,
-    pub reqs: HashMap<u64, ReqState>,
-    pub resp_map: HashMap<u64, u64>,
-    pub pkt_to_req: HashMap<u64, u64>,
+    pub reqs: IdHashMap<u64, ReqState>,
+    pub resp_map: IdHashMap<u64, u64>,
+    pub pkt_to_req: IdHashMap<u64, u64>,
     pub clients: Vec<ClientState>,
     pub web_vm: u32,
     pub app_vm: u32,
@@ -176,11 +176,11 @@ pub(crate) struct InfReqState {
 #[derive(Debug)]
 pub(crate) struct InferenceState {
     pub model: InferenceModel,
-    pub reqs: HashMap<u64, InfReqState>,
+    pub reqs: IdHashMap<u64, InfReqState>,
     /// Response packet id → request id.
-    pub resp_map: HashMap<u64, u64>,
+    pub resp_map: IdHashMap<u64, u64>,
     /// Request packet id → request id (one entry per transmission).
-    pub pkt_to_req: HashMap<u64, u64>,
+    pub pkt_to_req: IdHashMap<u64, u64>,
     /// Tenant index → guest VM index.
     pub tenant_vms: Vec<u32>,
     /// Tenant index → accelerator-side queue identity.
@@ -345,7 +345,7 @@ pub struct Platform {
     pub(crate) controller: Controller,
     pub(crate) policy: Box<dyn CoordinationPolicy>,
     pub(crate) q: EventQueue<Ev>,
-    pub(crate) tags: HashMap<u64, Ctx>,
+    pub(crate) tags: IdHashMap<u64, Ctx>,
     pub(crate) next_tag: u64,
     pub(crate) dom0: DomId,
     pub(crate) vms: Vec<VmSlot>,
@@ -487,7 +487,7 @@ impl Platform {
             controller,
             policy: Box::new(NullPolicy),
             q: EventQueue::new(),
-            tags: HashMap::new(),
+            tags: IdHashMap::default(),
             next_tag: 1,
             dom0: DomId::DOM0,
             vms: Vec::new(),
@@ -645,9 +645,9 @@ impl Platform {
             .collect();
         p.rubis = Some(RubisState {
             model,
-            reqs: HashMap::new(),
-            resp_map: HashMap::new(),
-            pkt_to_req: HashMap::new(),
+            reqs: IdHashMap::default(),
+            resp_map: IdHashMap::default(),
+            pkt_to_req: IdHashMap::default(),
             clients,
             web_vm: 1,
             app_vm: 2,
@@ -758,9 +758,9 @@ impl Platform {
         };
         p.inf = Some(InferenceState {
             model,
-            reqs: HashMap::new(),
-            resp_map: HashMap::new(),
-            pkt_to_req: HashMap::new(),
+            reqs: IdHashMap::default(),
+            resp_map: IdHashMap::default(),
+            pkt_to_req: IdHashMap::default(),
             tenant_vms,
             accel_tenants,
             queue_delays: ResponseStats::new(),

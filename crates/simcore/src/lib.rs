@@ -9,6 +9,8 @@
 //! * [`stats`] — online statistics: Welford mean/variance, min/max,
 //!   logarithmic histograms, time-weighted averages and time series.
 //! * [`trace`] — bounded ring-buffer tracing for debugging simulations.
+//! * [`IdHashMap`] — a `HashMap` with a one-multiply hasher for the dense
+//!   ids a simulation allocates itself (requests, packets, burst tags).
 //!
 //! Everything here is purely computational: no wall-clock, no I/O, no
 //! threads. A simulation driven exclusively through this kernel with a fixed
@@ -30,6 +32,7 @@
 #![forbid(unsafe_code)]
 
 mod component;
+mod hash;
 mod queue;
 mod rng;
 pub mod stats;
@@ -37,6 +40,7 @@ mod time;
 pub mod trace;
 
 pub use component::{Component, HorizonCache};
+pub use hash::{IdHashMap, IdHasher};
 pub use queue::{EventKey, EventQueue};
 pub use rng::SimRng;
 pub use time::{Cycles, Nanos};

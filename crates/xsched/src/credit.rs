@@ -26,16 +26,24 @@
 //! [`next_event_time`](CreditScheduler::next_event_time) falls due. Every
 //! input method returns the [`SchedEvent`]s (burst completions) produced
 //! while catching up to the call time, so no completion is ever lost;
-//! `on_timer` appends its completions to a caller-owned scratch buffer so
-//! the steady-state dispatch loop performs no allocation. The horizon
-//! returned by `next_event_time` is memoized behind a dirty flag and
-//! invalidated only by state-mutating calls.
+//! `on_timer` appends its completions to a caller-owned scratch buffer.
+//! The horizon returned by `next_event_time` is memoized behind a dirty
+//! flag and invalidated only by state-mutating calls.
+//!
+//! Domains are never removed and [`DomId`]s are handed out in order from
+//! 0, so a `DomId` is the index of its domain, and a domain's VCPUs are
+//! one contiguous index range. Once the per-VCPU burst queues and
+//! runqueues have grown to their working size, the event-loop calls
+//! (`on_timer`, `submit`, `boost_front`, `notify`, `grant_credit`)
+//! allocate only for a returned completion `Vec` that is non-empty
+//! (`tests/steady_state_alloc.rs` checks this).
 
 use crate::runstate::UsageAccum;
 use crate::{Burst, BurstKind, DomId, Domain, PcpuId, RunstateSnapshot, SchedError};
 use simcore::Nanos;
 use std::cell::Cell;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Lower bound on accumulated credit debt. Deliberately generous: a tight
 /// floor (e.g. −300) lets saturated VCPUs burn CPU "for free" once pinned
@@ -169,6 +177,14 @@ struct Vcpu {
     boost_until: Nanos,
 }
 
+impl Vcpu {
+    /// Whether the VCPU earns its domain a share in this accounting
+    /// pass: it is not blocked, or it consumed CPU during the period.
+    fn is_active(&self) -> bool {
+        self.state != RunState::Blocked || !self.consumed_in_period.is_zero()
+    }
+}
+
 #[derive(Debug)]
 struct Pcpu {
     running: Option<usize>,
@@ -192,11 +208,12 @@ enum HorizonCache {
 #[derive(Debug)]
 pub struct CreditScheduler {
     cfg: SchedConfig,
-    domains: BTreeMap<DomId, Domain>,
-    dom_vcpus: BTreeMap<DomId, Vec<usize>>,
+    /// Indexed by `DomId.0`.
+    domains: Vec<Domain>,
+    /// VCPU index range of each domain, indexed by `DomId.0`.
+    dom_vcpus: Vec<Range<usize>>,
     vcpus: Vec<Vcpu>,
     pcpus: Vec<Pcpu>,
-    next_dom_id: u32,
     next_tick: Nanos,
     ticks_until_acct: u32,
     now: Nanos,
@@ -227,11 +244,10 @@ impl CreditScheduler {
         let ticks_until_acct = cfg.ticks_per_acct;
         CreditScheduler {
             cfg,
-            domains: BTreeMap::new(),
-            dom_vcpus: BTreeMap::new(),
+            domains: Vec::new(),
+            dom_vcpus: Vec::new(),
             vcpus: Vec::new(),
             pcpus,
-            next_dom_id: 0,
             next_tick,
             ticks_until_acct,
             now: Nanos::ZERO,
@@ -300,12 +316,10 @@ impl CreditScheduler {
     /// Panics if `nvcpus == 0`.
     pub fn create_domain(&mut self, name: &str, weight: u32, nvcpus: u32) -> DomId {
         assert!(nvcpus > 0, "domain must have at least one vcpu");
-        let id = DomId(self.next_dom_id);
-        self.next_dom_id += 1;
-        self.domains.insert(id, Domain::new(id, name, weight, nvcpus));
-        let mut idxs = Vec::new();
-        for _ in 0..nvcpus {
-            let idx = self.vcpus.len();
+        let id = DomId(self.domains.len() as u32);
+        self.domains.push(Domain::new(id, name, weight, nvcpus));
+        let first = self.vcpus.len();
+        for idx in first..first + nvcpus as usize {
             self.vcpus.push(Vcpu {
                 dom: id,
                 credit: 0,
@@ -320,9 +334,8 @@ impl CreditScheduler {
                 consumed_since_tick: Nanos::ZERO,
                 boost_until: Nanos::ZERO,
             });
-            idxs.push(idx);
         }
-        self.dom_vcpus.insert(id, idxs);
+        self.dom_vcpus.push(first..self.vcpus.len());
         self.usage.register(id);
         self.dirty_horizon();
         id
@@ -338,12 +351,7 @@ impl CreditScheduler {
                 return Err(SchedError::BadAffinity(p.0));
             }
         }
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .clone();
-        for i in idxs {
+        for i in self.vcpus_of(dom)? {
             self.vcpus[i].affinity = if pcpus.is_empty() {
                 None
             } else {
@@ -360,7 +368,7 @@ impl CreditScheduler {
     /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
     pub fn set_weight(&mut self, dom: DomId, weight: u32) -> Result<(), SchedError> {
         self.domains
-            .get_mut(&dom)
+            .get_mut(dom.0 as usize)
             .ok_or(SchedError::UnknownDomain(dom))?
             .set_weight(weight);
         Ok(())
@@ -371,8 +379,7 @@ impl CreditScheduler {
     /// # Errors
     /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
     pub fn weight(&self, dom: DomId) -> Result<u32, SchedError> {
-        self.domains
-            .get(&dom)
+        self.domain(dom)
             .map(|d| d.weight())
             .ok_or(SchedError::UnknownDomain(dom))
     }
@@ -383,7 +390,7 @@ impl CreditScheduler {
     /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
     pub fn set_cap(&mut self, dom: DomId, cap_percent: u32) -> Result<(), SchedError> {
         self.domains
-            .get_mut(&dom)
+            .get_mut(dom.0 as usize)
             .ok_or(SchedError::UnknownDomain(dom))?
             .set_cap_percent(cap_percent);
         Ok(())
@@ -391,12 +398,20 @@ impl CreditScheduler {
 
     /// Domain metadata, if it exists.
     pub fn domain(&self, dom: DomId) -> Option<&Domain> {
-        self.domains.get(&dom)
+        self.domains.get(dom.0 as usize)
     }
 
     /// All domains in id order.
     pub fn domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.values()
+        self.domains.iter()
+    }
+
+    /// The VCPU index range of `dom`.
+    fn vcpus_of(&self, dom: DomId) -> Result<Range<usize>, SchedError> {
+        self.dom_vcpus
+            .get(dom.0 as usize)
+            .cloned()
+            .ok_or(SchedError::UnknownDomain(dom))
     }
 
     // ------------------------------------------------------------------
@@ -421,7 +436,7 @@ impl CreditScheduler {
         let vi = self.pick_vcpu_for_work(dom)?;
         self.vcpus[vi].work.push_back(burst);
         if self.vcpus[vi].state == RunState::Blocked {
-            self.wake_vcpu(vi, wake, false);
+            self.wake_vcpu(vi, wake);
         }
         self.reschedule();
         Ok(out)
@@ -437,12 +452,7 @@ impl CreditScheduler {
     pub fn boost_front(&mut self, now: Nanos, dom: DomId) -> Result<Vec<SchedEvent>, SchedError> {
         let mut out = Vec::new();
         self.advance(now, &mut out);
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .clone();
-        for vi in idxs {
+        for vi in self.vcpus_of(dom)? {
             // The preemptive grant holds for one scheduling slice: the
             // triggered VCPU keeps BOOST across ticks until it expires.
             self.vcpus[vi].boost_until = now + self.cfg.slice;
@@ -471,11 +481,7 @@ impl CreditScheduler {
     /// # Errors
     /// Returns [`SchedError::UnknownDomain`] if the domain does not exist.
     pub fn grant_credit(&mut self, dom: DomId, credits: i32) -> Result<(), SchedError> {
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .clone();
+        let idxs = self.vcpus_of(dom)?;
         let per = credits / idxs.len().max(1) as i32;
         for vi in idxs {
             let v = &mut self.vcpus[vi];
@@ -497,14 +503,9 @@ impl CreditScheduler {
     pub fn notify(&mut self, now: Nanos, dom: DomId) -> Result<Vec<SchedEvent>, SchedError> {
         let mut out = Vec::new();
         self.advance(now, &mut out);
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?
-            .clone();
-        for vi in idxs {
+        for vi in self.vcpus_of(dom)? {
             if self.vcpus[vi].state == RunState::Blocked && !self.vcpus[vi].work.is_empty() {
-                self.wake_vcpu(vi, WakeMode::Boost, false);
+                self.wake_vcpu(vi, WakeMode::Boost);
             }
         }
         self.reschedule();
@@ -619,47 +620,41 @@ impl CreditScheduler {
 
     /// Current credit of a domain's first VCPU (diagnostics).
     pub fn credit(&self, dom: DomId) -> Option<i32> {
-        self.dom_vcpus
-            .get(&dom)
-            .and_then(|v| v.first())
-            .map(|&i| self.vcpus[i].credit)
+        self.first_vcpu(dom).map(|v| v.credit)
     }
 
     /// Current priority of a domain's first VCPU.
     pub fn priority(&self, dom: DomId) -> Option<Priority> {
-        self.dom_vcpus
-            .get(&dom)
-            .and_then(|v| v.first())
-            .map(|&i| self.vcpus[i].prio)
+        self.first_vcpu(dom).map(|v| v.prio)
     }
 
     /// Credits of every VCPU of a domain (diagnostics).
     pub fn credits_all(&self, dom: DomId) -> Vec<i32> {
-        self.dom_vcpus
-            .get(&dom)
-            .map(|idxs| idxs.iter().map(|&i| self.vcpus[i].credit).collect())
+        self.vcpus_of(dom)
+            .map(|r| self.vcpus[r].iter().map(|v| v.credit).collect())
             .unwrap_or_default()
     }
 
     /// Current run state of a domain's first VCPU.
     pub fn run_state(&self, dom: DomId) -> Option<RunState> {
-        self.dom_vcpus
-            .get(&dom)
-            .and_then(|v| v.first())
-            .map(|&i| self.vcpus[i].state)
+        self.first_vcpu(dom).map(|v| v.state)
     }
 
     /// Queued (unstarted + in-progress) work of a domain across VCPUs.
     pub fn backlog(&self, dom: DomId) -> Nanos {
-        self.dom_vcpus
-            .get(&dom)
-            .map(|idxs| {
-                idxs.iter()
-                    .flat_map(|&i| self.vcpus[i].work.iter())
+        self.vcpus_of(dom)
+            .map(|r| {
+                self.vcpus[r]
+                    .iter()
+                    .flat_map(|v| v.work.iter())
                     .map(|b| b.demand)
                     .sum()
             })
             .unwrap_or(Nanos::ZERO)
+    }
+
+    fn first_vcpu(&self, dom: DomId) -> Option<&Vcpu> {
+        self.vcpus_of(dom).ok().map(|r| &self.vcpus[r.start])
     }
 
     // ------------------------------------------------------------------
@@ -839,41 +834,37 @@ impl CreditScheduler {
     }
 
     fn do_accounting(&mut self) {
-        // Identify active domains: any VCPU that is not blocked, or that
-        // consumed CPU during the period.
-        let mut active_weight: u64 = 0;
-        let mut active_doms: Vec<(DomId, u32, Vec<usize>)> = Vec::new();
-        for (dom, idxs) in &self.dom_vcpus {
-            let active: Vec<usize> = idxs
-                .iter()
-                .copied()
-                .filter(|&i| {
-                    let v = &self.vcpus[i];
-                    v.state != RunState::Blocked || !v.consumed_in_period.is_zero()
-                })
-                .collect();
-            if !active.is_empty() {
-                let w = self.domains[dom].weight();
-                active_weight += w as u64;
-                active_doms.push((*dom, w, active));
-            }
-        }
+        // A domain is active when any of its VCPUs is. Activity does not
+        // change while credit is handed out, so it is recounted rather
+        // than stored.
+        let active_count = |vcpus: &[Vcpu]| vcpus.iter().filter(|v| v.is_active()).count();
+        let active_weight: u64 = self
+            .domains
+            .iter()
+            .zip(&self.dom_vcpus)
+            .filter(|(_, r)| active_count(&self.vcpus[(*r).clone()]) > 0)
+            .map(|(d, _)| d.weight() as u64)
+            .sum();
         if active_weight > 0 {
             let pool = self.cfg.credits_per_acct() as i64 * self.cfg.ncpus as i64;
-            for (dom, w, idxs) in &active_doms {
+            for (d, r) in self.domains.iter().zip(&self.dom_vcpus) {
+                let vcpus = &mut self.vcpus[r.clone()];
+                let active = active_count(vcpus);
+                if active == 0 {
+                    continue;
+                }
                 // Round the share to the nearest credit rather than
                 // truncating: truncation makes a domain burning exactly
                 // its entitlement drift OVER one credit per period.
                 let mut share =
-                    (pool * *w as i64 + active_weight as i64 / 2) / active_weight as i64;
-                let cap = self.domains[dom].cap_percent();
+                    (pool * d.weight() as i64 + active_weight as i64 / 2) / active_weight as i64;
+                let cap = d.cap_percent();
                 if cap > 0 {
                     let max = self.cfg.credits_per_acct() as i64 * cap as i64 / 100;
                     share = share.min(max);
                 }
-                let per_vcpu = (share / idxs.len() as i64) as i32;
-                for &i in idxs {
-                    let v = &mut self.vcpus[i];
+                let per_vcpu = (share / active as i64) as i32;
+                for v in vcpus.iter_mut().filter(|v| v.is_active()) {
                     v.credit = (v.credit + per_vcpu).clamp(CREDIT_FLOOR, self.cfg.credit_cap);
                 }
             }
@@ -883,7 +874,7 @@ impl CreditScheduler {
         // domains, reset period counters.
         for i in 0..self.vcpus.len() {
             let dom = self.vcpus[i].dom;
-            let capped = self.domains[&dom].cap_percent() > 0;
+            let capped = self.domains[dom.0 as usize].cap_percent() > 0;
             let now = self.now;
             let v = &mut self.vcpus[i];
             v.consumed_in_period = Nanos::ZERO;
@@ -934,10 +925,12 @@ impl CreditScheduler {
     }
 
     fn resort_runqueues(&mut self) {
-        for pi in 0..self.pcpus.len() {
-            let mut q: Vec<usize> = self.pcpus[pi].runq.drain(..).collect();
-            q.sort_by_key(|&vi| self.vcpus[vi].prio.rank());
-            self.pcpus[pi].runq = q.into();
+        let vcpus = &self.vcpus;
+        for p in &mut self.pcpus {
+            // Stable, so FIFO order within each class is kept.
+            p.runq
+                .make_contiguous()
+                .sort_by_key(|&vi| vcpus[vi].prio.rank());
         }
     }
 
@@ -1066,29 +1059,31 @@ impl CreditScheduler {
     }
 
     fn choose_pcpu(&self, vi: usize) -> PcpuId {
-        let allowed: Vec<PcpuId> = (0..self.cfg.ncpus)
-            .map(PcpuId)
-            .filter(|p| self.allowed_on(vi, *p))
-            .collect();
-        debug_assert!(!allowed.is_empty(), "vcpu pinned to no pcpu");
+        let allowed = || {
+            (0..self.cfg.ncpus)
+                .map(PcpuId)
+                .filter(move |&p| self.allowed_on(vi, p))
+        };
         // Prefer an idle pCPU, then the last one used, then the shortest queue.
-        for &p in &allowed {
+        let idle = allowed().find(|p| {
             let pc = &self.pcpus[p.0 as usize];
-            if pc.running.is_none() && pc.runq.is_empty() {
-                return p;
-            }
+            pc.running.is_none() && pc.runq.is_empty()
+        });
+        if let Some(p) = idle {
+            return p;
         }
+        // `last_pcpu` is always a valid pCPU, so this is membership of
+        // the allowed set.
         let last = self.vcpus[vi].last_pcpu;
-        if allowed.contains(&last) {
+        if self.allowed_on(vi, last) {
             return last;
         }
-        *allowed
-            .iter()
+        allowed()
             .min_by_key(|p| self.pcpus[p.0 as usize].runq.len())
-            .expect("allowed nonempty")
+            .expect("vcpu pinned to no pcpu")
     }
 
-    fn wake_vcpu(&mut self, vi: usize, mode: WakeMode, _force_boost: bool) {
+    fn wake_vcpu(&mut self, vi: usize, mode: WakeMode) {
         let now = self.now;
         let pending = std::mem::replace(&mut self.vcpus[vi].pending_boost, false);
         let boost = pending
@@ -1159,12 +1154,7 @@ impl CreditScheduler {
     }
 
     fn pick_vcpu_for_work(&self, dom: DomId) -> Result<usize, SchedError> {
-        let idxs = self
-            .dom_vcpus
-            .get(&dom)
-            .ok_or(SchedError::UnknownDomain(dom))?;
-        idxs.iter()
-            .copied()
+        self.vcpus_of(dom)?
             .min_by_key(|&i| self.vcpus[i].work.len())
             .ok_or(SchedError::NoVcpus)
     }
@@ -1457,6 +1447,65 @@ mod tests {
         assert!(s.set_weight(ghost, 512).is_err());
         assert!(s.boost_front(Nanos::ZERO, ghost).is_err());
         assert!(s.notify(Nanos::ZERO, ghost).is_err());
+    }
+
+    #[test]
+    fn ids_past_the_end_are_unknown() {
+        let mut s = CreditScheduler::new(SchedConfig::new(1));
+        let a = s.create_domain("a", 256, 2);
+        let past = DomId(a.0 + 1);
+        assert_eq!(s.weight(past), Err(SchedError::UnknownDomain(past)));
+        assert_eq!(s.set_cap(past, 50), Err(SchedError::UnknownDomain(past)));
+        assert_eq!(
+            s.grant_credit(past, 10),
+            Err(SchedError::UnknownDomain(past))
+        );
+        assert_eq!(
+            s.pin_domain(past, &[PcpuId(0)]),
+            Err(SchedError::UnknownDomain(past))
+        );
+        assert!(s.domain(past).is_none());
+        assert!(s.credit(past).is_none() && s.run_state(past).is_none());
+        assert!(s.credits_all(past).is_empty());
+        assert_eq!(s.weight(a), Ok(256));
+    }
+
+    #[test]
+    fn domains_iterate_in_id_order() {
+        let mut s = CreditScheduler::new(SchedConfig::new(2));
+        let ids: Vec<DomId> = ["dom0", "web", "app", "db"]
+            .iter()
+            .map(|n| s.create_domain(n, 256, 1))
+            .collect();
+        assert_eq!(ids, [DomId(0), DomId(1), DomId(2), DomId(3)]);
+        let names: Vec<&str> = s.domains().map(|d| d.name()).collect();
+        assert_eq!(names, ["dom0", "web", "app", "db"]);
+        assert!(s.domains().map(|d| d.id()).eq(ids));
+    }
+
+    #[test]
+    fn choose_pcpu_ignores_a_last_pcpu_outside_the_affinity() {
+        // vcpu 0 starts with last_pcpu 0, which is idle but not allowed
+        // once `a` is pinned to {1, 2}; both allowed pCPUs are busy and
+        // pCPU 1 also has a waiter, so the shortest queue (pCPU 2) wins.
+        let mut s = CreditScheduler::new(SchedConfig::new(3));
+        let a = s.create_domain("a", 256, 1);
+        let b = s.create_domain("b", 256, 1);
+        let c = s.create_domain("c", 256, 1);
+        let d = s.create_domain("d", 256, 1);
+        s.pin_domain(b, &[PcpuId(1)]).unwrap();
+        s.pin_domain(c, &[PcpuId(2)]).unwrap();
+        s.pin_domain(d, &[PcpuId(1)]).unwrap();
+        for (dom, tag) in [(b, 1), (c, 2), (d, 3)] {
+            let burst = Burst::user(Nanos::from_secs(1), tag);
+            s.submit(Nanos::ZERO, dom, burst, WakeMode::Plain).unwrap();
+        }
+        s.pin_domain(a, &[PcpuId(2), PcpuId(1)]).unwrap();
+        assert_eq!(s.vcpus[0].last_pcpu, PcpuId(0));
+        assert_eq!(s.pcpus[0].running, None);
+        assert!(s.pcpus[1].running.is_some() && s.pcpus[1].runq.len() == 1);
+        assert!(s.pcpus[2].running.is_some() && s.pcpus[2].runq.is_empty());
+        assert_eq!(s.choose_pcpu(0), PcpuId(2));
     }
 
     #[test]

@@ -108,17 +108,19 @@ impl RunstateSnapshot {
 /// Internal accumulator maintained by the scheduler.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct UsageAccum {
-    per_dom: BTreeMap<DomId, DomainUsage>,
+    /// Indexed by `DomId.0`; domains register in id order.
+    per_dom: Vec<DomainUsage>,
     window_start: Nanos,
 }
 
 impl UsageAccum {
     pub(crate) fn register(&mut self, dom: DomId) {
-        self.per_dom.entry(dom).or_default();
+        debug_assert_eq!(dom.0 as usize, self.per_dom.len(), "ids register in order");
+        self.per_dom.push(DomainUsage::default());
     }
 
     pub(crate) fn add_running(&mut self, dom: DomId, kind: BurstKind, dt: Nanos) {
-        let u = self.per_dom.entry(dom).or_default();
+        let u = &mut self.per_dom[dom.0 as usize];
         match kind {
             BurstKind::User => u.running_user += dt,
             BurstKind::System => u.running_system += dt,
@@ -126,24 +128,24 @@ impl UsageAccum {
     }
 
     pub(crate) fn add_runnable(&mut self, dom: DomId, dt: Nanos) {
-        self.per_dom.entry(dom).or_default().runnable += dt;
+        self.per_dom[dom.0 as usize].runnable += dt;
     }
 
     pub(crate) fn add_blocked(&mut self, dom: DomId, dt: Nanos) {
-        self.per_dom.entry(dom).or_default().blocked += dt;
+        self.per_dom[dom.0 as usize].blocked += dt;
     }
 
     /// Snapshot the window ending at `now` without resetting.
     pub(crate) fn snapshot(&self, now: Nanos) -> RunstateSnapshot {
         RunstateSnapshot {
-            per_dom: self.per_dom.clone(),
+            per_dom: (0..).map(DomId).zip(self.per_dom.iter().copied()).collect(),
             window: now.saturating_sub(self.window_start),
         }
     }
 
     /// Clears all counters and starts a new window at `now`.
     pub(crate) fn reset(&mut self, now: Nanos) {
-        for u in self.per_dom.values_mut() {
+        for u in &mut self.per_dom {
             *u = DomainUsage::default();
         }
         self.window_start = now;
@@ -154,9 +156,16 @@ impl UsageAccum {
 mod tests {
     use super::*;
 
+    /// An accumulator with domains `0..n` registered.
+    fn accum(n: u32) -> UsageAccum {
+        let mut a = UsageAccum::default();
+        (0..n).for_each(|i| a.register(DomId(i)));
+        a
+    }
+
     #[test]
     fn accumulates_by_kind() {
-        let mut a = UsageAccum::default();
+        let mut a = accum(2);
         let d = DomId(1);
         a.add_running(d, BurstKind::User, Nanos::from_millis(10));
         a.add_running(d, BurstKind::System, Nanos::from_millis(5));
@@ -172,7 +181,7 @@ mod tests {
 
     #[test]
     fn reset_starts_new_window() {
-        let mut a = UsageAccum::default();
+        let mut a = accum(2);
         let d = DomId(1);
         a.add_running(d, BurstKind::User, Nanos::from_millis(10));
         a.reset(Nanos::from_millis(100));
@@ -191,10 +200,12 @@ mod tests {
 
     #[test]
     fn total_sums_domains() {
-        let mut a = UsageAccum::default();
+        let mut a = accum(3);
         a.add_running(DomId(1), BurstKind::User, Nanos::from_millis(50));
         a.add_running(DomId(2), BurstKind::User, Nanos::from_millis(100));
         let s = a.snapshot(Nanos::from_millis(100));
         assert!((s.total_cpu_percent() - 150.0).abs() < 1e-9);
+        let ids: Vec<DomId> = s.iter().map(|(d, _)| d).collect();
+        assert_eq!(ids, [DomId(0), DomId(1), DomId(2)], "listed in id order");
     }
 }

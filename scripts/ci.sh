@@ -4,6 +4,18 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The smoke passes below overwrite the committed tables in results/.
+# Copy the tracked files aside and put them back however the script
+# exits, so a CI run never leaves the goldens modified.
+results_backup=$(mktemp -d)
+{ git ls-files -z results 2>/dev/null || true; } \
+    | xargs -0 -r cp --parents -t "$results_backup"
+restore_results() {
+    [ -d "$results_backup/results" ] && cp -R "$results_backup/results/." results/
+    rm -rf "$results_backup"
+}
+trap restore_results EXIT
+
 echo "==> cargo build --release --offline"
 cargo build --release --offline
 
