@@ -13,7 +13,7 @@ fn main() {
     let mut suite = BenchSuite::new("paper_artifacts");
     let n = 10; // samples per artifact (criterion used sample_size(10))
 
-    let s = bench::SEED;
+    let s = &bench::Suite::new(bench::SEED, None, 1, bench::FLEET_SHARDS);
     suite.bench_n("paper/fig2_rubis_baseline_minmax", n, || black_box(bench::fig2(s)));
     suite.bench_n("paper/table1_avg_response", n, || black_box(bench::table1(s)));
     suite.bench_n("paper/fig4_minmax_coordination", n, || black_box(bench::fig4(s)));

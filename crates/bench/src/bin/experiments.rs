@@ -1,40 +1,38 @@
 //! Regenerates every table and figure of the paper's evaluation plus the
 //! ablations, printing paper-style tables and writing CSVs to `results/`.
 //!
-//! Usage: `experiments [--jobs N] [--island-threads N] [--shards N]
-//! [--smoke[=SECS]] [--seed S] [SELECTION]`
+//! Usage: `experiments [--jobs N] [--shards N] [--smoke[=SECS]] [--seed S]
+//! [SELECTION]`
 //!
 //! * `SELECTION` — `all` (default), an experiment id (`experiments list`
 //!   prints them), or one of the groups `fig4`, `fig7`, `ablations`,
 //!   `extensions`, `fleet`.
-//! * `--jobs N` — fan independent experiments across N worker threads
-//!   (default: `ARCH_JOBS` or the machine's available parallelism).
-//!   Output is byte-identical to `--jobs 1`.
-//! * `--island-threads N` — PDES island worker threads inside each
-//!   simulated run (default 1 = the serial master loop). Dispatch order
-//!   is conserved, so output is byte-identical to `--island-threads 1`;
-//!   ci.sh asserts this on every pass.
+//! * `--jobs N` — fan independent experiments, and F1's fleet shards,
+//!   across N worker threads (default: `ARCH_JOBS` or the machine's
+//!   available parallelism). Output is byte-identical to `--jobs 1`.
 //! * `--shards N` — shard count for the fleet experiments (default 12,
 //!   clamped to 2..=64). Output for any fixed N is byte-identical across
 //!   `--jobs` values; ci.sh asserts this on a 2-shard fleet.
 //! * `--smoke[=SECS]` — cap every simulated run (default 5 simulated
 //!   seconds): a fast CI pass that keeps table shapes but not statistics.
+//!   Its output goes to `results/smoke/`, so it never overwrites the
+//!   committed full-length tables in `results/`.
 //! * `--seed S` — override the default deterministic seed.
 //!
-//! Besides the per-table CSVs this writes `results/BENCH_experiments.json`
-//! with the simulator-throughput block (events dispatched, wall µs,
-//! events/sec) and the deterministic per-island dispatch totals for the
-//! whole pass.
+//! Besides the per-table CSVs this writes `BENCH_experiments.json` to the
+//! same directory, with the simulator-throughput block (events dispatched,
+//! summed per-run wall µs, events/sec), the deterministic per-island
+//! dispatch totals and the fleet totals for the whole pass.
 
 use metrics::Table;
 use simtest::json::Json;
 use std::fs;
 use std::time::Instant;
 
-fn emit(slug: &str, table: &Table) {
+fn emit(dir: &str, slug: &str, table: &Table) {
     println!("{table}");
-    if fs::create_dir_all("results").is_ok() {
-        let path = format!("results/{slug}.csv");
+    if fs::create_dir_all(dir).is_ok() {
+        let path = format!("{dir}/{slug}.csv");
         if let Err(e) = fs::write(&path, table.to_csv()) {
             eprintln!("warning: could not write {path}: {e}");
         }
@@ -71,11 +69,7 @@ fn selection(which: &str) -> Option<Vec<&'static str>> {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let jobs = bench::pool::take_jobs_flag(&mut args);
-    let island_threads = bench::pool::take_island_threads_flag(&mut args);
-    bench::set_island_threads(island_threads);
-    if let Some(shards) = bench::pool::take_shards_flag(&mut args) {
-        bench::set_fleet_shards(shards);
-    }
+    let shards = bench::pool::take_shards_flag(&mut args).unwrap_or(bench::FLEET_SHARDS);
     let mut seed = bench::SEED;
     let mut smoke: Option<u64> = None;
     let mut rest = Vec::new();
@@ -93,9 +87,6 @@ fn main() {
             rest.push(a);
         }
     }
-    if let Some(secs) = smoke {
-        bench::set_smoke_cap_secs(secs);
-    }
     let which = rest.first().map(String::as_str).unwrap_or("all");
     if which == "list" {
         println!(
@@ -109,22 +100,24 @@ fn main() {
         std::process::exit(2);
     };
 
+    let suite = bench::Suite::new(seed, smoke, jobs, shards);
+    let dir = if smoke.is_some() { "results/smoke" } else { "results" };
     let t0 = Instant::now();
-    bench::reset_sim_rate_totals();
-    let tables = bench::run_experiments(jobs, ids.clone(), seed);
+    let tables = bench::run_experiments(&suite, ids.clone());
     let wall = t0.elapsed();
     for (slug, table) in &tables {
-        emit(slug, table);
+        emit(dir, slug, table);
     }
 
-    let (events, run_micros) = bench::sim_rate_totals();
+    let totals = suite.totals();
+    let (events, run_micros) = (totals.events, totals.run_wall_micros);
     let rate = if run_micros > 0 {
         events as f64 * 1e6 / run_micros as f64
     } else {
         0.0
     };
     println!(
-        "{} experiment table(s) regenerated in {:.2?} (jobs={jobs}); CSVs under results/",
+        "{} experiment table(s) regenerated in {:.2?} (jobs={jobs}); CSVs under {dir}/",
         tables.len(),
         wall
     );
@@ -132,12 +125,12 @@ fn main() {
         "sim rate: {events} events in {:.2} s of simulator time ({rate:.0} events/s)",
         run_micros as f64 / 1e6
     );
-    let islands = bench::island_totals();
+    let islands = &totals.islands;
     println!(
-        "islands: x86 {} ixp {} accel {}  sync points {} (island threads {island_threads})",
+        "islands: x86 {} ixp {} accel {}  sync points {}",
         islands.x86, islands.ixp, islands.accel, islands.sync_points
     );
-    let fleet = bench::fleet_totals();
+    let fleet = &totals.fleet;
     if fleet.runs > 0 {
         println!(
             "fleet: {} run(s), {} shard slices, {} events, sessions {}/{} admitted, \
@@ -193,14 +186,13 @@ fn main() {
                 ("ixp", Json::Num(islands.ixp as f64)),
                 ("accel", Json::Num(islands.accel as f64)),
                 ("sync_points", Json::Num(islands.sync_points as f64)),
-                ("island_threads", Json::Num(island_threads as f64)),
             ]),
         ),
         (
             "fleet",
             Json::obj(vec![
                 ("runs", Json::Num(fleet.runs as f64)),
-                ("shards", Json::Num(bench::fleet_shards() as f64)),
+                ("shards", Json::Num(suite.shards() as f64)),
                 ("shard_slices", Json::Num(fleet.shard_slices as f64)),
                 ("events", Json::Num(fleet.events as f64)),
                 (
@@ -240,9 +232,9 @@ fn main() {
         ),
         ("wall_micros", Json::Num(wall.as_micros() as f64)),
     ]);
-    if fs::create_dir_all("results").is_ok() {
-        let path = "results/BENCH_experiments.json";
-        match fs::write(path, report.to_string()) {
+    if fs::create_dir_all(dir).is_ok() {
+        let path = format!("{dir}/BENCH_experiments.json");
+        match fs::write(&path, report.to_string()) {
             Ok(()) => println!("wrote {path}"),
             Err(e) => eprintln!("warning: could not write {path}: {e}"),
         }

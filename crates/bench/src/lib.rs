@@ -26,7 +26,6 @@ use platform::{
     RunReport,
 };
 use simcore::Nanos;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use workloads::session::SessionLoad;
 
@@ -42,119 +41,145 @@ pub const TRIGGER_SECS: u64 = 180;
 /// Simulated duration of the inference (accelerator island) runs.
 pub const INFER_SECS: u64 = 120;
 
+/// Default shard count of the fleet experiments.
+pub const FLEET_SHARDS: u16 = 12;
+
 // ----------------------------------------------------------------------
-// Run plumbing: smoke cap and simulator-rate accounting
+// The suite: run configuration in, run totals out
 // ----------------------------------------------------------------------
 
-static SMOKE_CAP_SECS: AtomicU64 = AtomicU64::new(u64::MAX);
-static TOTAL_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_WALL_MICROS: AtomicU64 = AtomicU64::new(0);
-static ISLAND_THREADS: AtomicU64 = AtomicU64::new(1);
-static TOTAL_X86_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_IXP_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_ACCEL_EVENTS: AtomicU64 = AtomicU64::new(0);
-static TOTAL_SYNC_POINTS: AtomicU64 = AtomicU64::new(0);
-
-/// Caps every simulated run at `secs` simulated seconds. Smoke mode for
-/// CI and the determinism tests: the tables lose statistical meaning but
-/// keep their exact shape and determinism. `u64::MAX` restores full runs.
-pub fn set_smoke_cap_secs(secs: u64) {
-    SMOKE_CAP_SECS.store(secs.max(1), Ordering::Relaxed);
+/// One pass over the experiments: the configuration every experiment
+/// reads, and the totals every simulated run adds itself to.
+#[derive(Debug)]
+pub struct Suite {
+    /// Seed of the headline runs (multi-seed cells count up from it).
+    seed: u64,
+    /// Caps every simulated run at this many simulated seconds.
+    smoke_cap_secs: Option<u64>,
+    /// Worker threads for the experiment fan-out and for F1's shard
+    /// fan-out.
+    jobs: usize,
+    /// Shard count of the fleet experiments.
+    shards: u16,
+    totals: Mutex<Totals>,
 }
 
-fn sim_secs(n: u64) -> Nanos {
-    Nanos::from_secs(n.min(SMOKE_CAP_SECS.load(Ordering::Relaxed)))
-}
-
-/// Totals accumulated across every [`Platform`] run the experiments have
-/// executed in this process: `(events dispatched, wall microseconds)`.
-pub fn sim_rate_totals() -> (u64, u64) {
-    (
-        TOTAL_EVENTS.load(Ordering::Relaxed),
-        TOTAL_WALL_MICROS.load(Ordering::Relaxed),
-    )
-}
-
-/// Resets the [`sim_rate_totals`], [`island_totals`] and
-/// [`fleet_totals`] counters.
-pub fn reset_sim_rate_totals() {
-    TOTAL_EVENTS.store(0, Ordering::Relaxed);
-    TOTAL_WALL_MICROS.store(0, Ordering::Relaxed);
-    TOTAL_X86_EVENTS.store(0, Ordering::Relaxed);
-    TOTAL_IXP_EVENTS.store(0, Ordering::Relaxed);
-    TOTAL_ACCEL_EVENTS.store(0, Ordering::Relaxed);
-    TOTAL_SYNC_POINTS.store(0, Ordering::Relaxed);
-    for c in [
-        &FLEET_RUNS,
-        &FLEET_SHARD_SLICES,
-        &FLEET_EVENTS,
-        &FLEET_OFFERED,
-        &FLEET_ADMITTED,
-        &FLEET_REJECTED,
-        &FLEET_FRAMES_SENT,
-        &FLEET_DELIVERED,
-        &FLEET_REORDERED,
-        &FLEET_LATE,
-        &FLEET_TUNES_L0,
-        &FLEET_TUNES_L1,
-        &FLEET_TUNES_L2,
-    ] {
-        c.store(0, Ordering::Relaxed);
+impl Suite {
+    /// A suite with zeroed totals. `smoke_cap_secs` caps every simulated
+    /// run — smoke mode for CI and the determinism tests: the tables
+    /// lose statistical meaning but keep their exact shape and
+    /// determinism. `jobs` and the smoke cap clamp to at least 1;
+    /// `shards` clamps to 2..=64 (rebalancing needs a pair, and the
+    /// ncpus/load cycles repeat every 3 shards).
+    pub fn new(seed: u64, smoke_cap_secs: Option<u64>, jobs: usize, shards: u16) -> Suite {
+        Suite {
+            seed,
+            smoke_cap_secs: smoke_cap_secs.map(|s| s.max(1)),
+            jobs: jobs.max(1),
+            shards: shards.clamp(2, 64),
+            totals: Mutex::new(Totals::default()),
+        }
     }
-    FLEET_PER_SHARD_EVENTS.lock().unwrap().clear();
-}
 
-/// Sets the PDES island worker count every subsequent [`Platform`] run in
-/// this process uses (1 = the exact serial master loop, the default).
-/// Dispatch order — and so every table — is identical for any value; the
-/// determinism suite asserts it.
-pub fn set_island_threads(threads: usize) {
-    ISLAND_THREADS.store(threads.max(1) as u64, Ordering::Relaxed);
-}
+    /// The fleet shard count, after clamping.
+    pub fn shards(&self) -> u16 {
+        self.shards
+    }
 
-/// The configured PDES island worker count.
-pub fn island_threads() -> usize {
-    ISLAND_THREADS.load(Ordering::Relaxed) as usize
-}
+    /// Everything the suite's runs have added up to so far.
+    pub fn totals(&self) -> Totals {
+        self.lock_totals().clone()
+    }
 
-/// Deterministic per-island dispatch totals accumulated across every run:
-/// x86/ixp/accel event counts plus epoch barriers crossed. `epoch_ns` is
-/// not aggregated (it is per-run configuration) and reads 0 here.
-pub fn island_totals() -> platform::IslandEvents {
-    platform::IslandEvents {
-        x86: TOTAL_X86_EVENTS.load(Ordering::Relaxed),
-        ixp: TOTAL_IXP_EVENTS.load(Ordering::Relaxed),
-        accel: TOTAL_ACCEL_EVENTS.load(Ordering::Relaxed),
-        sync_points: TOTAL_SYNC_POINTS.load(Ordering::Relaxed),
-        island_threads: ISLAND_THREADS.load(Ordering::Relaxed),
-        epoch_ns: 0,
+    fn lock_totals(&self) -> std::sync::MutexGuard<'_, Totals> {
+        self.totals.lock().expect("a run panicked while adding to the totals")
+    }
+
+    fn sim_secs(&self, n: u64) -> Nanos {
+        Nanos::from_secs(self.smoke_cap_secs.map_or(n, |cap| n.min(cap)))
+    }
+
+    /// Runs `sim` for `secs` simulated seconds (smoke-capped) and adds
+    /// the report to the totals.
+    fn run(&self, sim: &mut Platform, secs: u64) -> RunReport {
+        let r = sim.run(self.sim_secs(secs));
+        self.lock_totals().add_run(&r);
+        r
+    }
+
+    /// [`run_fleet`] with smoke-capped slices, adding every shard run and
+    /// the fleet report to the totals.
+    fn fleet(&self, cfg: FleetConfig, slices: u32, slice_secs: u64, jobs: usize) -> FleetReport {
+        let r = fleet_slices(cfg, slices, self.sim_secs(slice_secs), jobs, |runs| {
+            let mut totals = self.lock_totals();
+            for run in runs {
+                totals.add_run(run);
+            }
+        });
+        self.lock_totals().add_fleet(&r);
+        r
     }
 }
 
-/// Every experiment run goes through here so the aggregate simulator
-/// throughput and per-island dispatch counts can be reported by the
-/// `experiments` binary.
-fn timed_run(sim: &mut Platform, duration: Nanos) -> RunReport {
-    sim.set_island_threads(island_threads());
-    let r = sim.run(duration);
-    TOTAL_EVENTS.fetch_add(r.sim_rate.events, Ordering::Relaxed);
-    TOTAL_WALL_MICROS.fetch_add(r.sim_rate.wall_micros, Ordering::Relaxed);
-    TOTAL_X86_EVENTS.fetch_add(r.events_by_island.x86, Ordering::Relaxed);
-    TOTAL_IXP_EVENTS.fetch_add(r.events_by_island.ixp, Ordering::Relaxed);
-    TOTAL_ACCEL_EVENTS.fetch_add(r.events_by_island.accel, Ordering::Relaxed);
-    TOTAL_SYNC_POINTS.fetch_add(r.events_by_island.sync_points, Ordering::Relaxed);
-    r
+/// What a suite's runs add up to: the `sim_rate`, `events_by_island`
+/// and `fleet` blocks of `results/BENCH_experiments.json`. Everything
+/// but `run_wall_micros` is deterministic.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Totals {
+    /// Events dispatched across every platform run.
+    pub events: u64,
+    /// Wall-clock microseconds summed over every platform run.
+    pub run_wall_micros: u64,
+    /// Per-island dispatch counts and epoch barriers, summed.
+    pub islands: platform::IslandEvents,
+    /// Fleet-level totals.
+    pub fleet: FleetTotals,
 }
 
-fn run_rubis(policy: PolicyKind, scenario: RubisScenario, seed: u64) -> RunReport {
+impl Totals {
+    fn add_run(&mut self, r: &RunReport) {
+        self.events += r.sim_rate.events;
+        self.run_wall_micros += r.sim_rate.wall_micros;
+        self.islands.accumulate(&r.events_by_island);
+    }
+
+    fn add_fleet(&mut self, r: &FleetReport) {
+        let f = &mut self.fleet;
+        f.runs += 1;
+        f.shard_slices += r.shards as u64 * r.slices as u64;
+        f.events += r.total_events();
+        let (o, a, rej) = r.sessions();
+        f.offered += o;
+        f.admitted += a;
+        f.rejected += rej;
+        for b in [&r.fleet_bus, &r.rack_bus] {
+            f.frames_sent += b.frames_sent;
+            f.delivered += b.delivered;
+            f.reordered += b.reordered;
+            f.late += b.late;
+        }
+        for (t, n) in f.tunes.iter_mut().zip(r.tunes) {
+            *t += n;
+        }
+        if f.per_shard_events.len() < r.per_shard.len() {
+            f.per_shard_events.resize(r.per_shard.len(), 0);
+        }
+        for s in &r.per_shard {
+            f.per_shard_events[s.shard as usize] += s.events;
+        }
+    }
+}
+
+fn run_rubis(suite: &Suite, policy: PolicyKind, scenario: RubisScenario, seed: u64) -> RunReport {
     let mut sim = PlatformBuilder::new()
         .seed(seed)
         .policy(policy)
         .build_rubis(scenario);
-    timed_run(&mut sim, sim_secs(RUBIS_SECS))
+    suite.run(&mut sim, RUBIS_SECS)
 }
 
 fn run_rubis_faulty(
+    suite: &Suite,
     policy: PolicyKind,
     scenario: RubisScenario,
     seed: u64,
@@ -169,7 +194,7 @@ fn run_rubis_faulty(
         b = b.reliable_delivery(cfg);
     }
     let mut sim = b.build_rubis(scenario);
-    timed_run(&mut sim, sim_secs(RUBIS_SECS))
+    suite.run(&mut sim, RUBIS_SECS)
 }
 
 /// Unweighted average of the per-request-type mean response times — the
@@ -205,8 +230,8 @@ fn yesno(b: bool) -> String {
 
 /// Figure 2: variation in minimum–maximum response latencies under the
 /// bid/browse/sell mix with no coordination.
-pub fn fig2(seed: u64) -> Table {
-    let r = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn fig2(suite: &Suite) -> Table {
+    let r = run_rubis(suite, PolicyKind::None, RubisScenario::read_write_mix(24), suite.seed);
     let mut t = Table::new(
         "Figure 2 — RUBiS min-max response latencies, no coordination (ms)",
         &["Request Type", "min", "max", "mean", "sd", "p95", "p99"],
@@ -232,12 +257,13 @@ pub fn fig2(seed: u64) -> Table {
 // ----------------------------------------------------------------------
 
 /// Table 1: per-type average response times, baseline vs coordinated.
-pub fn table1(seed: u64) -> Table {
-    let base = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn table1(suite: &Suite) -> Table {
+    let base = run_rubis(suite, PolicyKind::None, RubisScenario::read_write_mix(24), suite.seed);
     let coord = run_rubis(
+        suite,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
-        seed,
+        suite.seed,
     );
     let mut t = Table::new(
         "Table 1 — RUBiS average request response times (ms)",
@@ -272,12 +298,13 @@ pub fn table1(seed: u64) -> Table {
 /// Figure 4: min–max response times with and without coordination
 /// (read-write mix). The paper's headline: coordination alleviates peak
 /// latencies and reduces per-type standard deviation.
-pub fn fig4(seed: u64) -> Table {
-    let base = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn fig4(suite: &Suite) -> Table {
+    let base = run_rubis(suite, PolicyKind::None, RubisScenario::read_write_mix(24), suite.seed);
     let coord = run_rubis(
+        suite,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
-        seed,
+        suite.seed,
     );
     let mut t = Table::new(
         "Figure 4 — RUBiS min-max response times, base vs coordinated (ms)",
@@ -311,16 +338,17 @@ pub fn fig4(seed: u64) -> Table {
 
 /// Figure 4's footnote experiment: under the pure browsing mix (no
 /// read-write transitions) coordination should win for every type.
-pub fn fig4_browsing(seed: u64) -> Table {
+pub fn fig4_browsing(suite: &Suite) -> Table {
     // Moderate load: the browsing mix is web-heavy, and the paper's point
     // is that without read/write transitions the coordination regime is
     // always right — best visible when the web tier is not pinned at
     // saturation.
-    let base = run_rubis(PolicyKind::None, RubisScenario::browsing_mix(12), seed);
+    let base = run_rubis(suite, PolicyKind::None, RubisScenario::browsing_mix(12), suite.seed);
     let coord = run_rubis(
+        suite,
         PolicyKind::RequestType,
         RubisScenario::browsing_mix(12),
-        seed,
+        suite.seed,
     );
     let mut t = Table::new(
         "Figure 4 (browsing-only mix) — mean/max response times (ms)",
@@ -345,12 +373,13 @@ pub fn fig4_browsing(seed: u64) -> Table {
 // ----------------------------------------------------------------------
 
 /// Table 2: RUBiS throughput results.
-pub fn table2(seed: u64) -> Table {
-    let base = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn table2(suite: &Suite) -> Table {
+    let base = run_rubis(suite, PolicyKind::None, RubisScenario::read_write_mix(24), suite.seed);
     let coord = run_rubis(
+        suite,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
-        seed,
+        suite.seed,
     );
     let mut t = Table::new(
         "Table 2 — RUBiS throughput results",
@@ -395,12 +424,13 @@ pub fn table2(seed: u64) -> Table {
 
 /// Figure 5: RUBiS CPU utilization per component (percent of one pCPU),
 /// baseline vs coordinated, with the user/system split of §3.1.
-pub fn fig5(seed: u64) -> Table {
-    let base = run_rubis(PolicyKind::None, RubisScenario::read_write_mix(24), seed);
+pub fn fig5(suite: &Suite) -> Table {
+    let base = run_rubis(suite, PolicyKind::None, RubisScenario::read_write_mix(24), suite.seed);
     let coord = run_rubis(
+        suite,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
-        seed,
+        suite.seed,
     );
     let mut t = Table::new(
         "Figure 5 — RUBiS CPU utilization (% of one pCPU)",
@@ -445,7 +475,7 @@ pub fn fig5(seed: u64) -> Table {
 
 /// Figure 6: achieved frame rates under the paper's three weight
 /// configurations (256-256, 384-512, 384-640 with tandem IXP threads).
-pub fn fig6(seed: u64) -> Table {
+pub fn fig6(suite: &Suite) -> Table {
     let mut t = Table::new(
         "Figure 6 — MPlayer video-stream QoS (frames/s; targets: dom1=20, dom2=25)",
         &["Weights", "Dom1 fps", "meets", "Dom2 fps", "meets"],
@@ -456,13 +486,13 @@ pub fn fig6(seed: u64) -> Table {
         ("384-640", 384, 640, true),
     ] {
         let scen = MplayerScenario::figure6(w1, w2);
-        let mut sim = PlatformBuilder::new().seed(seed).build_mplayer(scen);
+        let mut sim = PlatformBuilder::new().seed(suite.seed).build_mplayer(scen);
         if tandem {
             // The paper's third configuration also raises the IXP threads
             // servicing Domain-2's receive queue in tandem.
             sim.set_flow_threads_by_vm(2, 4);
         }
-        let r = timed_run(&mut sim, sim_secs(RUBIS_SECS));
+        let r = suite.run(&mut sim, RUBIS_SECS);
         let d1 = r.player("dom1").expect("dom1 report");
         let d2 = r.player("dom2").expect("dom2 report");
         t.row_owned(vec![
@@ -483,14 +513,14 @@ pub fn fig6(seed: u64) -> Table {
 /// Figure 7: the trigger run's time series — boosted domain CPU
 /// utilization and IXP buffer occupancy, sampled once per second.
 /// Returns (series table, summary table).
-pub fn fig7(seed: u64) -> (Table, Table) {
+pub fn fig7(suite: &Suite) -> (Table, Table) {
     let mut runs = Vec::new();
     for policy in [PolicyKind::None, PolicyKind::BufferTrigger] {
         let mut sim = PlatformBuilder::new()
-            .seed(seed)
+            .seed(suite.seed)
             .policy(policy)
             .build_mplayer(MplayerScenario::trigger_setup());
-        runs.push(timed_run(&mut sim, sim_secs(TRIGGER_SECS)));
+        runs.push(suite.run(&mut sim, TRIGGER_SECS));
     }
     let (base, coord) = (&runs[0], &runs[1]);
     let mut series = Table::new(
@@ -554,14 +584,14 @@ pub fn fig7(seed: u64) -> (Table, Table) {
 
 /// Table 3: trigger interference — the boosted network player gains,
 /// the colocated local-disk player pays.
-pub fn table3(seed: u64) -> Table {
+pub fn table3(suite: &Suite) -> Table {
     let mut results = Vec::new();
     for policy in [PolicyKind::None, PolicyKind::BufferTrigger] {
         let mut sim = PlatformBuilder::new()
-            .seed(seed)
+            .seed(suite.seed)
             .policy(policy)
             .build_mplayer(MplayerScenario::trigger_setup());
-        results.push(timed_run(&mut sim, sim_secs(TRIGGER_SECS)));
+        results.push(suite.run(&mut sim, TRIGGER_SECS));
     }
     let (base, coord) = (&results[0], &results[1]);
     let mut t = Table::new(
@@ -588,18 +618,18 @@ pub fn table3(seed: u64) -> Table {
 
 /// A1: coordination-channel latency sweep (PCIe mailbox vs QPI/HTX-class
 /// integration, §3.3 "Hardware considerations").
-pub fn ablation_a1(seed: u64) -> Table {
+pub fn ablation_a1(suite: &Suite) -> Table {
     let mut t = Table::new(
         "A1 — coordination channel latency vs response-time damage",
         &["one-way latency", "mean (ms)", "sd (ms)", "max (ms)", "drops"],
     );
     for us in [1u64, 30, 300, 3_000, 30_000] {
         let mut sim = PlatformBuilder::new()
-            .seed(seed)
+            .seed(suite.seed)
             .policy(PolicyKind::RequestType)
             .coord_latency(Nanos::from_micros(us))
             .build_rubis(RubisScenario::read_write_mix(24));
-        let r = timed_run(&mut sim, sim_secs(RUBIS_SECS));
+        let r = suite.run(&mut sim, RUBIS_SECS);
         let o = r.rubis.responses.overall().clone();
         t.row_owned(vec![
             format!("{us} us"),
@@ -614,7 +644,7 @@ pub fn ablation_a1(seed: u64) -> Table {
 
 /// A2: per-request regime switching vs the hysteresis extension the paper
 /// defers to future work.
-pub fn ablation_a2(seed: u64) -> Table {
+pub fn ablation_a2(suite: &Suite) -> Table {
     let mut t = Table::new(
         "A2 — per-request coordination vs hysteresis damping",
         &["Policy", "X (req/s)", "mean", "sd", "max", "msgs", "drops"],
@@ -624,7 +654,7 @@ pub fn ablation_a2(seed: u64) -> Table {
         ("per-request", PolicyKind::RequestType),
         ("hysteresis", PolicyKind::RequestTypeHysteresis),
     ] {
-        let r = run_rubis(policy, RubisScenario::read_write_mix(24), seed);
+        let r = run_rubis(suite, policy, RubisScenario::read_write_mix(24), suite.seed);
         let o = r.rubis.responses.overall().clone();
         t.row_owned(vec![
             label.into(),
@@ -641,7 +671,7 @@ pub fn ablation_a2(seed: u64) -> Table {
 
 /// A3: messaging-driver notification policy — interrupt moderation period
 /// sweep vs Dom0 polling.
-pub fn ablation_a3(seed: u64) -> Table {
+pub fn ablation_a3(suite: &Suite) -> Table {
     let mut t = Table::new(
         "A3 — host notification policy vs response times",
         &["Notify mode", "mean (ms)", "sd (ms)", "max (ms)"],
@@ -665,11 +695,11 @@ pub fn ablation_a3(seed: u64) -> Table {
     }
     for (label, mode) in modes {
         let mut sim = PlatformBuilder::new()
-            .seed(seed)
+            .seed(suite.seed)
             .policy(PolicyKind::RequestType)
             .notify_mode(mode)
             .build_rubis(RubisScenario::read_write_mix(24));
-        let r = timed_run(&mut sim, sim_secs(RUBIS_SECS));
+        let r = suite.run(&mut sim, RUBIS_SECS);
         let o = r.rubis.responses.overall().clone();
         t.row_owned(vec![label, fmt(o.mean()), fmt(o.std_dev()), fmt(o.max())]);
     }
@@ -678,7 +708,7 @@ pub fn ablation_a3(seed: u64) -> Table {
 
 /// A4: IXP per-flow dequeue-thread assignment vs delivered throughput
 /// (the §2.1 claim that thread tuning controls per-VM ingress bandwidth).
-pub fn ablation_a4(seed: u64) -> Table {
+pub fn ablation_a4(suite: &Suite) -> Table {
     let mut t = Table::new(
         "A4 — IXP flow threads vs delivered ingress bandwidth",
         &["threads", "delivered pkts", "fps dom1", "IXP buffer mean (bytes)"],
@@ -693,10 +723,10 @@ pub fn ablation_a4(seed: u64) -> Table {
             ..ixp::IxpConfig::default()
         };
         let mut sim = PlatformBuilder::new()
-            .seed(seed)
+            .seed(suite.seed)
             .ixp_config(ixp_cfg)
             .build_mplayer(MplayerScenario::trigger_setup());
-        let r = timed_run(&mut sim, sim_secs(60));
+        let r = suite.run(&mut sim, 60);
         t.row_owned(vec![
             threads.to_string(),
             r.net.delivered.to_string(),
@@ -710,18 +740,18 @@ pub fn ablation_a4(seed: u64) -> Table {
 }
 
 /// A5: trigger rate limiting — the interference/gain trade-off of Table 3.
-pub fn ablation_a5(seed: u64) -> Table {
+pub fn ablation_a5(suite: &Suite) -> Table {
     let mut t = Table::new(
         "A5 — trigger rate limit vs gain and interference",
         &["max triggers/s", "triggers", "dom1 fps", "dom2 fps"],
     );
     for rate in [0.5f64, 2.0, 10.0, 1e9] {
         let mut sim = PlatformBuilder::new()
-            .seed(seed)
+            .seed(suite.seed)
             .policy(PolicyKind::BufferTrigger)
             .trigger_rate_limit(rate)
             .build_mplayer(MplayerScenario::trigger_setup());
-        let r = timed_run(&mut sim, sim_secs(TRIGGER_SECS));
+        let r = suite.run(&mut sim, TRIGGER_SECS);
         let label = if rate > 1e6 {
             "unlimited".into()
         } else {
@@ -745,7 +775,7 @@ pub fn ablation_a5(seed: u64) -> Table {
 /// Xen 3.x's tick-sampled debits (which deterministic sub-tick workloads
 /// dodge). Shows how much of the coordination story depends on the
 /// accounting substrate.
-pub fn ablation_a6(seed: u64) -> Table {
+pub fn ablation_a6(suite: &Suite) -> Table {
     let mut t = Table::new(
         "A6 — credit accounting mode vs RUBiS outcomes",
         &["Accounting", "Policy", "X (req/s)", "mean (ms)", "sd (ms)", "drops"],
@@ -754,11 +784,11 @@ pub fn ablation_a6(seed: u64) -> Table {
         for (pol_label, policy) in [("none", PolicyKind::None), ("coord", PolicyKind::RequestType)]
         {
             let mut sim = PlatformBuilder::new()
-                .seed(seed)
+                .seed(suite.seed)
                 .policy(policy)
                 .precise_accounting(precise)
                 .build_rubis(RubisScenario::read_write_mix(24));
-            let r = timed_run(&mut sim, sim_secs(RUBIS_SECS));
+            let r = suite.run(&mut sim, RUBIS_SECS);
             let o = r.rubis.responses.overall().clone();
             t.row_owned(vec![
                 acct_label.into(),
@@ -779,18 +809,18 @@ pub fn ablation_a6(seed: u64) -> Table {
 /// first) preserves stream QoS, while per-tile biggest-consumer capping
 /// destroys the high-rate stream's frame rate — and, because the elastic
 /// background absorbs the freed cycles, saves almost no power.
-pub fn extension_p1(seed: u64) -> Table {
+pub fn extension_p1(suite: &Suite) -> Table {
     let mut t = Table::new(
         "P1 — platform power capping: coordinated vs per-tile victim choice",
         &["Config", "mean W", "max W", "dom1 fps", "dom2 fps", "cap actions"],
     );
     let mut run = |label: &str, cap: Option<(f64, PowerStrategy)>| {
-        let mut b = PlatformBuilder::new().seed(seed);
+        let mut b = PlatformBuilder::new().seed(suite.seed);
         if let Some((w, s)) = cap {
             b = b.power_cap(w, s);
         }
         let mut sim = b.build_mplayer(MplayerScenario::figure6(384, 512));
-        let r = timed_run(&mut sim, sim_secs(120));
+        let r = suite.run(&mut sim, 120);
         t.row_owned(vec![
             label.into(),
             format!("{:.1}", r.power.mean_watts),
@@ -823,7 +853,7 @@ pub fn extension_p1(seed: u64) -> Table {
 /// S1 (extension, paper §5): coordination-fabric scalability — a single
 /// global controller vs the two-level zone fabric, at increasing island
 /// counts and 90%-local traffic.
-pub fn extension_s1(seed: u64) -> Table {
+pub fn extension_s1(suite: &Suite) -> Table {
     use coord::hierarchy::{HierarchicalController, ZoneId};
     use coord::{CoordMsg, EntityId, IslandId, IslandKind};
     let mut t = Table::new(
@@ -847,7 +877,7 @@ pub fn extension_s1(seed: u64) -> Table {
                 }
             }
         }
-        let mut rng = simcore::SimRng::new(seed);
+        let mut rng = simcore::SimRng::new(suite.seed);
         let n_msgs = 100_000u32;
         for i in 0..n_msgs {
             let origin = ZoneId((i % zones as u32) as u16);
@@ -885,11 +915,12 @@ pub fn extension_s1(seed: u64) -> Table {
 }
 
 /// Coordination overhead counters from a coordinated RUBiS run.
-pub fn coordination_overhead(seed: u64) -> Table {
+pub fn coordination_overhead(suite: &Suite) -> Table {
     let r = run_rubis(
+        suite,
         PolicyKind::RequestType,
         RubisScenario::read_write_mix(24),
-        seed,
+        suite.seed,
     );
     let mut t = Table::new(
         "Coordination overhead (60 s coordinated RUBiS run)",
@@ -933,7 +964,7 @@ pub fn coordination_overhead(seed: u64) -> Table {
 /// single run's mean moves several percent with the fault draws alone;
 /// every cell averages `R1_SEEDS` independent seeds to isolate the loss
 /// effect from that noise. Counter columns are per-run means.
-pub fn reliability_r1(seed: u64) -> Table {
+pub fn reliability_r1(suite: &Suite) -> Table {
     const R1_SEEDS: u64 = 5;
     let scenario = RubisScenario::read_write_mix(24);
     let mut t = Table::new(
@@ -955,10 +986,11 @@ pub fn reliability_r1(seed: u64) -> Table {
         let profile = FaultProfile::none().with_drop(loss);
         let (mut b, mut f, mut a) = (0.0, 0.0, 0.0);
         let (mut drops, mut retx, mut gave_up, mut degraded) = (0u64, 0u64, 0u64, 0.0f64);
-        for s in seed..seed + R1_SEEDS {
-            let base = run_rubis_faulty(PolicyKind::None, scenario, s, profile, None);
-            let ff = run_rubis_faulty(PolicyKind::RequestType, scenario, s, profile, None);
+        for s in suite.seed..suite.seed + R1_SEEDS {
+            let base = run_rubis_faulty(suite, PolicyKind::None, scenario, s, profile, None);
+            let ff = run_rubis_faulty(suite, PolicyKind::RequestType, scenario, s, profile, None);
             let ack = run_rubis_faulty(
+                suite,
                 PolicyKind::RequestType,
                 scenario,
                 s,
@@ -1001,7 +1033,7 @@ pub fn reliability_r1(seed: u64) -> Table {
 /// R2: ack/retry vs. fire-and-forget under combined loss, jitter, and
 /// duplication — the full fault profile rather than R1's pure loss — with
 /// the delivery-layer counters that explain the difference.
-pub fn reliability_r2(seed: u64) -> Table {
+pub fn reliability_r2(suite: &Suite) -> Table {
     let scenario = RubisScenario::read_write_mix(24);
     let faults = FaultProfile::none()
         .with_drop(0.10)
@@ -1028,7 +1060,14 @@ pub fn reliability_r2(seed: u64) -> Table {
         ("ack/retry, faulty channel", faults, Some(ReliableConfig::default())),
     ];
     for (name, profile, reliable) in variants {
-        let r = run_rubis_faulty(PolicyKind::RequestType, scenario, seed, profile, reliable);
+        let r = run_rubis_faulty(
+            suite,
+            PolicyKind::RequestType,
+            scenario,
+            suite.seed,
+            profile,
+            reliable,
+        );
         t.row_owned(vec![
             name.to_owned(),
             fmt(mean_response_ms(&r)),
@@ -1050,6 +1089,7 @@ pub fn reliability_r2(seed: u64) -> Table {
 // ----------------------------------------------------------------------
 
 fn run_rubis_adversarial(
+    suite: &Suite,
     policy: PolicyKind,
     scenario: RubisScenario,
     seed: u64,
@@ -1064,7 +1104,7 @@ fn run_rubis_adversarial(
         b = b.coord_defenses(cfg);
     }
     let mut sim = b.build_rubis(scenario);
-    timed_run(&mut sim, sim_secs(RUBIS_SECS))
+    suite.run(&mut sim, RUBIS_SECS)
 }
 
 /// The strategy mix for `n` adversarial tenants: inflater, spammer,
@@ -1106,7 +1146,7 @@ fn adversary_mix(n: usize) -> Vec<AdversarySpec> {
 /// Adversarial congestion is heavy-tailed, so every cell averages
 /// `A1_SEEDS` independent seeds; counter columns are per-run means from
 /// the defended runs.
-pub fn anarchy_a1(seed: u64) -> Table {
+pub fn anarchy_a1(suite: &Suite) -> Table {
     const A1_SEEDS: u64 = 3;
     let scenario = RubisScenario::read_write_mix(24);
     let mut t = Table::new(
@@ -1124,8 +1164,8 @@ pub fn anarchy_a1(seed: u64) -> Table {
             "discounted",
         ],
     );
-    let honest: f64 = (seed..seed + A1_SEEDS)
-        .map(|s| mean_response_ms(&run_rubis(PolicyKind::RequestType, scenario, s)))
+    let honest: f64 = (suite.seed..suite.seed + A1_SEEDS)
+        .map(|s| mean_response_ms(&run_rubis(suite, PolicyKind::RequestType, scenario, s)))
         .sum::<f64>()
         / A1_SEEDS as f64;
     for n in [0usize, 1, 2, 4] {
@@ -1136,18 +1176,21 @@ pub fn anarchy_a1(seed: u64) -> Table {
             (0..n).map(|_| AdversarySpec::free_ride()).collect();
         let (mut load, mut nc, mut co, mut de) = (0.0, 0.0, 0.0, 0.0);
         let (mut throttled, mut discounted) = (0u64, 0u64);
-        for s in seed..seed + A1_SEEDS {
+        for s in suite.seed..suite.seed + A1_SEEDS {
             load += mean_response_ms(&run_rubis_adversarial(
+                suite,
                 PolicyKind::RequestType,
                 scenario,
                 s,
                 &well_behaved,
                 None,
             ));
-            let noncoop = run_rubis_adversarial(PolicyKind::None, scenario, s, &advs, None);
+            let noncoop =
+                run_rubis_adversarial(suite, PolicyKind::None, scenario, s, &advs, None);
             let coord =
-                run_rubis_adversarial(PolicyKind::RequestType, scenario, s, &advs, None);
+                run_rubis_adversarial(suite, PolicyKind::RequestType, scenario, s, &advs, None);
             let defended = run_rubis_adversarial(
+                suite,
                 PolicyKind::RequestType,
                 scenario,
                 s,
@@ -1184,12 +1227,17 @@ pub fn anarchy_a1(seed: u64) -> Table {
 // Inference — the third scheduling island
 // ----------------------------------------------------------------------
 
-fn run_inference(policy: PolicyKind, scenario: InferenceScenario, seed: u64) -> RunReport {
+fn run_inference(
+    suite: &Suite,
+    policy: PolicyKind,
+    scenario: InferenceScenario,
+    seed: u64,
+) -> RunReport {
     let mut sim = PlatformBuilder::new()
         .seed(seed)
         .policy(policy)
         .build_inference(scenario);
-    timed_run(&mut sim, sim_secs(INFER_SECS))
+    suite.run(&mut sim, INFER_SECS)
 }
 
 /// I1: coordinated vs uncoordinated batch tuning under a mixed-SLA tenant
@@ -1197,10 +1245,10 @@ fn run_inference(policy: PolicyKind, scenario: InferenceScenario, seed: u64) -> 
 /// small batches and larger queue weights (and batch tenants the other
 /// way); the claim is the Figure 4 shape transplanted to the third
 /// island — latency-tenant p99 drops without giving up batch goodput.
-pub fn inference_i1(seed: u64) -> Table {
+pub fn inference_i1(suite: &Suite) -> Table {
     let scenario = InferenceScenario::mixed_tenants();
-    let base = run_inference(PolicyKind::None, scenario.clone(), seed);
-    let coord = run_inference(PolicyKind::InferenceBatch, scenario, seed);
+    let base = run_inference(suite, PolicyKind::None, scenario.clone(), suite.seed);
+    let coord = run_inference(suite, PolicyKind::InferenceBatch, scenario, suite.seed);
     let mut t = Table::new(
         "I1 — coordinated batch tuning on the accelerator island",
         &[
@@ -1241,10 +1289,10 @@ pub fn inference_i1(seed: u64) -> Table {
 /// tenant raises a Trigger that preempts the forming batch; the gain is
 /// the alarmed tenant's tail, the cost is the colocated batch tenants'
 /// batch efficiency.
-pub fn inference_i2(seed: u64) -> Table {
+pub fn inference_i2(suite: &Suite) -> Table {
     let scenario = InferenceScenario::trigger_setup();
-    let base = run_inference(PolicyKind::None, scenario.clone(), seed);
-    let coord = run_inference(PolicyKind::BufferTrigger, scenario, seed);
+    let base = run_inference(suite, PolicyKind::None, scenario.clone(), suite.seed);
+    let coord = run_inference(suite, PolicyKind::BufferTrigger, scenario, suite.seed);
     let mut t = Table::new(
         "I2 — trigger-based batch preemption vs colocated cost",
         &["Metric", "no-coord", "coord-trigger", "% change"],
@@ -1332,6 +1380,7 @@ fn worst_p99_ms(r: &RunReport) -> f64 {
 /// One energy arm: RUBiS under the RequestType policy with the given
 /// energy dimension and (optionally) a power cap on top.
 fn run_rubis_energy(
+    suite: &Suite,
     scenario: RubisScenario,
     seed: u64,
     energy: EnergyConfig,
@@ -1345,7 +1394,7 @@ fn run_rubis_energy(
         b = b.power_cap(w, s);
     }
     let mut sim = b.build_rubis(scenario);
-    timed_run(&mut sim, sim_secs(RUBIS_SECS))
+    suite.run(&mut sim, RUBIS_SECS)
 }
 
 /// Seed-averaged accounting for one energy arm. `p99_ms` is the *worst*
@@ -1365,6 +1414,7 @@ struct EnergyArm {
 }
 
 fn energy_arm(
+    suite: &Suite,
     scenario: RubisScenario,
     seed: u64,
     energy: EnergyConfig,
@@ -1383,7 +1433,7 @@ fn energy_arm(
         final_membw: 0,
     };
     for s in seed..seed + E_SEEDS {
-        let r = run_rubis_energy(scenario, s, energy, cap.clone());
+        let r = run_rubis_energy(suite, scenario, s, energy, cap.clone());
         let secs = r.duration.as_secs_f64().max(1e-9);
         a.joules += r.energy.total_joules();
         a.mean_watts += r.energy.total_joules() / secs;
@@ -1419,7 +1469,7 @@ fn energy_arm(
 /// latency. The coordinated arm walks the DVFS/cache/bandwidth lattice
 /// downward only while the worst per-tenant p99 holds under the target,
 /// backing off on violations — energy falls *and* the constraint holds.
-pub fn energy_e1(seed: u64) -> Table {
+pub fn energy_e1(suite: &Suite) -> Table {
     let scenario = RubisScenario::read_write_mix(E_CLIENTS);
     let mut t = Table::new(
         "E1 — energy under a p99 QoS target: coordinated knobs vs uncoordinated capping",
@@ -1446,7 +1496,7 @@ pub fn energy_e1(seed: u64) -> Table {
     };
     row(
         "no management",
-        energy_arm(scenario, seed, EnergyConfig::frozen(E_TARGET_MS), None),
+        energy_arm(suite, scenario, suite.seed, EnergyConfig::frozen(E_TARGET_MS), None),
     );
     // Two capping arms bracket the coordinated one: a mild cap that
     // happens to hold the tail but barely saves energy, and a cap sized
@@ -1455,8 +1505,9 @@ pub fn energy_e1(seed: u64) -> Table {
     row(
         "uncoordinated cap 105W",
         energy_arm(
+            suite,
             scenario,
-            seed,
+            suite.seed,
             EnergyConfig::frozen(E_TARGET_MS),
             Some((105.0, PowerStrategy::BiggestConsumer)),
         ),
@@ -1464,15 +1515,16 @@ pub fn energy_e1(seed: u64) -> Table {
     row(
         "uncoordinated cap 90W",
         energy_arm(
+            suite,
             scenario,
-            seed,
+            suite.seed,
             EnergyConfig::frozen(E_TARGET_MS),
             Some((90.0, PowerStrategy::BiggestConsumer)),
         ),
     );
     row(
         "coordinated energy",
-        energy_arm(scenario, seed, EnergyConfig::coordinated(E_TARGET_MS), None),
+        energy_arm(suite, scenario, suite.seed, EnergyConfig::coordinated(E_TARGET_MS), None),
     );
     t
 }
@@ -1486,7 +1538,7 @@ pub fn energy_e1(seed: u64) -> Table {
 /// alone strands the uncore power the cache/bandwidth knobs reclaim (and
 /// vice versa), so the coordinated walk settles at lower power than any
 /// single axis can reach — under the same p99 constraint.
-pub fn energy_e2(seed: u64) -> Table {
+pub fn energy_e2(suite: &Suite) -> Table {
     let scenario = RubisScenario::read_write_mix(E_CLIENTS);
     let mut t = Table::new(
         "E2 — knob ablation at iso-QoS: each axis alone vs coordinated",
@@ -1502,7 +1554,8 @@ pub fn energy_e2(seed: u64) -> Table {
             "final membw %",
         ],
     );
-    let frozen = energy_arm(scenario, seed, EnergyConfig::frozen(E_TARGET_MS), None);
+    let frozen =
+        energy_arm(suite, scenario, suite.seed, EnergyConfig::frozen(E_TARGET_MS), None);
     let baseline_joules = frozen.joules;
     let mut row = |label: &str, a: EnergyArm| {
         let saved = if baseline_joules > 0.0 {
@@ -1525,19 +1578,19 @@ pub fn energy_e2(seed: u64) -> Table {
     row("frozen (all knobs pinned)", frozen);
     row(
         "dvfs only",
-        energy_arm(scenario, seed, EnergyConfig::dvfs_only(E_TARGET_MS), None),
+        energy_arm(suite, scenario, suite.seed, EnergyConfig::dvfs_only(E_TARGET_MS), None),
     );
     row(
         "cache ways only",
-        energy_arm(scenario, seed, EnergyConfig::cache_only(E_TARGET_MS), None),
+        energy_arm(suite, scenario, suite.seed, EnergyConfig::cache_only(E_TARGET_MS), None),
     );
     row(
         "membw share only",
-        energy_arm(scenario, seed, EnergyConfig::membw_only(E_TARGET_MS), None),
+        energy_arm(suite, scenario, suite.seed, EnergyConfig::membw_only(E_TARGET_MS), None),
     );
     row(
         "coordinated (all three)",
-        energy_arm(scenario, seed, EnergyConfig::coordinated(E_TARGET_MS), None),
+        energy_arm(suite, scenario, suite.seed, EnergyConfig::coordinated(E_TARGET_MS), None),
     );
     t
 }
@@ -1545,22 +1598,6 @@ pub fn energy_e2(seed: u64) -> Table {
 // ----------------------------------------------------------------------
 // F1 / F2 — fleet-scale sharded worlds
 // ----------------------------------------------------------------------
-
-static FLEET_SHARDS: AtomicU64 = AtomicU64::new(12);
-static FLEET_RUNS: AtomicU64 = AtomicU64::new(0);
-static FLEET_SHARD_SLICES: AtomicU64 = AtomicU64::new(0);
-static FLEET_EVENTS: AtomicU64 = AtomicU64::new(0);
-static FLEET_OFFERED: AtomicU64 = AtomicU64::new(0);
-static FLEET_ADMITTED: AtomicU64 = AtomicU64::new(0);
-static FLEET_REJECTED: AtomicU64 = AtomicU64::new(0);
-static FLEET_FRAMES_SENT: AtomicU64 = AtomicU64::new(0);
-static FLEET_DELIVERED: AtomicU64 = AtomicU64::new(0);
-static FLEET_REORDERED: AtomicU64 = AtomicU64::new(0);
-static FLEET_LATE: AtomicU64 = AtomicU64::new(0);
-static FLEET_TUNES_L0: AtomicU64 = AtomicU64::new(0);
-static FLEET_TUNES_L1: AtomicU64 = AtomicU64::new(0);
-static FLEET_TUNES_L2: AtomicU64 = AtomicU64::new(0);
-static FLEET_PER_SHARD_EVENTS: Mutex<Vec<u64>> = Mutex::new(Vec::new());
 
 /// Simulated seconds per fleet slice (smoke-capped like every run).
 /// Sized with [`F1_SLICES`] so the full F1 sweep — one baseline plus
@@ -1573,20 +1610,8 @@ const F1_SLICE_SECS: u64 = 300;
 /// materialise — and be measured — over the remaining rounds.
 const F1_SLICES: u32 = 4;
 
-/// Overrides the shard count of the fleet experiments (`--shards N`);
-/// clamped to 2..=64 (rebalancing needs a pair, and the ncpus/load
-/// cycles repeat every 3 shards).
-pub fn set_fleet_shards(n: u16) {
-    FLEET_SHARDS.store(n.clamp(2, 64) as u64, Ordering::Relaxed);
-}
-
-/// The configured fleet shard count (default 12).
-pub fn fleet_shards() -> u16 {
-    FLEET_SHARDS.load(Ordering::Relaxed) as u16
-}
-
-/// Fleet-level totals accumulated across every fleet run in this
-/// process — the `fleet` block of `results/BENCH_experiments.json`.
+/// Fleet-level totals summed over a suite's fleet runs — the `fleet`
+/// block of `results/BENCH_experiments.json`.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct FleetTotals {
     /// Fleet runs executed.
@@ -1613,56 +1638,6 @@ pub struct FleetTotals {
     pub tunes: [u64; 3],
     /// Per-shard event totals, indexed by shard id.
     pub per_shard_events: Vec<u64>,
-}
-
-/// The fleet totals accumulated so far (reset by
-/// [`reset_sim_rate_totals`]).
-pub fn fleet_totals() -> FleetTotals {
-    FleetTotals {
-        runs: FLEET_RUNS.load(Ordering::Relaxed),
-        shard_slices: FLEET_SHARD_SLICES.load(Ordering::Relaxed),
-        events: FLEET_EVENTS.load(Ordering::Relaxed),
-        offered: FLEET_OFFERED.load(Ordering::Relaxed),
-        admitted: FLEET_ADMITTED.load(Ordering::Relaxed),
-        rejected: FLEET_REJECTED.load(Ordering::Relaxed),
-        frames_sent: FLEET_FRAMES_SENT.load(Ordering::Relaxed),
-        delivered: FLEET_DELIVERED.load(Ordering::Relaxed),
-        reordered: FLEET_REORDERED.load(Ordering::Relaxed),
-        late: FLEET_LATE.load(Ordering::Relaxed),
-        tunes: [
-            FLEET_TUNES_L0.load(Ordering::Relaxed),
-            FLEET_TUNES_L1.load(Ordering::Relaxed),
-            FLEET_TUNES_L2.load(Ordering::Relaxed),
-        ],
-        per_shard_events: FLEET_PER_SHARD_EVENTS.lock().unwrap().clone(),
-    }
-}
-
-fn record_fleet(r: &FleetReport) {
-    FLEET_RUNS.fetch_add(1, Ordering::Relaxed);
-    FLEET_SHARD_SLICES
-        .fetch_add(r.shards as u64 * r.slices as u64, Ordering::Relaxed);
-    FLEET_EVENTS.fetch_add(r.total_events(), Ordering::Relaxed);
-    let (o, a, rej) = r.sessions();
-    FLEET_OFFERED.fetch_add(o, Ordering::Relaxed);
-    FLEET_ADMITTED.fetch_add(a, Ordering::Relaxed);
-    FLEET_REJECTED.fetch_add(rej, Ordering::Relaxed);
-    for b in [&r.fleet_bus, &r.rack_bus] {
-        FLEET_FRAMES_SENT.fetch_add(b.frames_sent, Ordering::Relaxed);
-        FLEET_DELIVERED.fetch_add(b.delivered, Ordering::Relaxed);
-        FLEET_REORDERED.fetch_add(b.reordered, Ordering::Relaxed);
-        FLEET_LATE.fetch_add(b.late, Ordering::Relaxed);
-    }
-    FLEET_TUNES_L0.fetch_add(r.tunes[0], Ordering::Relaxed);
-    FLEET_TUNES_L1.fetch_add(r.tunes[1], Ordering::Relaxed);
-    FLEET_TUNES_L2.fetch_add(r.tunes[2], Ordering::Relaxed);
-    let mut per = FLEET_PER_SHARD_EVENTS.lock().unwrap();
-    if per.len() < r.per_shard.len() {
-        per.resize(r.per_shard.len(), 0);
-    }
-    for s in &r.per_shard {
-        per[s.shard as usize] += s.events;
-    }
 }
 
 /// The heterogeneous fleet the F-experiments run: ncpus cycle 3/2/1 and
@@ -1701,24 +1676,32 @@ pub fn fleet_cfg(seed: u64, shards: u16, depth: u8, bus: BusConfig, coordinated:
 }
 
 /// Runs one fleet: `slices` coordination rounds of `slice_secs` simulated
-/// seconds (smoke-capped), each round fanning the shard builds across
-/// `jobs` scoped pool threads and merging reports in shard order. The
-/// returned report is a pure function of `(cfg, slices, slice_secs)` —
-/// `jobs` must not affect a byte of it, which is exactly what F2 and the
-/// ci.sh byte-compare assert.
+/// seconds, each round fanning the shard builds across `jobs` scoped
+/// pool threads and merging reports in shard order. The returned report
+/// is a pure function of `(cfg, slices, slice_secs)` — `jobs` must not
+/// affect a byte of it, which is exactly what F2 and the ci.sh
+/// byte-compare assert.
 pub fn run_fleet(cfg: FleetConfig, slices: u32, slice_secs: u64, jobs: usize) -> FleetReport {
+    fleet_slices(cfg, slices, Nanos::from_secs(slice_secs), jobs, |_| {})
+}
+
+/// The [`run_fleet`] loop, handing each round's shard reports to
+/// `on_round` before the fleet absorbs them.
+fn fleet_slices(
+    cfg: FleetConfig,
+    slices: u32,
+    slice: Nanos,
+    jobs: usize,
+    mut on_round: impl FnMut(&[RunReport]),
+) -> FleetReport {
     let mut state = FleetState::new(cfg, fleet_plans(cfg.topo.shards));
-    for slice in 0..slices {
-        let specs = state.specs(slice, sim_secs(slice_secs));
-        let reports = pool::parallel_map(jobs, specs, |spec| {
-            let mut sim = spec.build();
-            timed_run(&mut sim, spec.duration)
-        });
+    for round in 0..slices {
+        let specs = state.specs(round, slice);
+        let reports = pool::parallel_map(jobs, specs, |spec| spec.build().run(spec.duration));
+        on_round(&reports);
         state.absorb(&reports);
     }
-    let r = state.report();
-    record_fleet(&r);
-    r
+    state.report()
 }
 
 /// The three cross-node bus conditions F1 sweeps. The coordination
@@ -1761,9 +1744,8 @@ fn f1_buses(base_latency: Nanos) -> Vec<(&'static str, BusConfig)> {
 /// the cross-node bus slows and loses frames, and deeper trees hold
 /// most of their benefit because rack-local rebalancing never leaves
 /// the building.
-pub fn fleet_f1(seed: u64) -> Table {
-    let shards = fleet_shards();
-    let jobs = pool::default_jobs();
+pub fn fleet_f1(suite: &Suite) -> Table {
+    let (shards, jobs) = (suite.shards, suite.jobs);
     let mut t = Table::new(
         "F1 — fleet coordination benefit vs tree depth x cross-node bus",
         &[
@@ -1781,8 +1763,8 @@ pub fn fleet_f1(seed: u64) -> Table {
             "drops",
         ],
     );
-    let base = run_fleet(
-        fleet_cfg(seed, shards, 1, BusConfig::perfect(Nanos::from_micros(100)), false),
+    let base = suite.fleet(
+        fleet_cfg(suite.seed, shards, 1, BusConfig::perfect(Nanos::from_micros(100)), false),
         F1_SLICES,
         F1_SLICE_SECS,
         jobs,
@@ -1821,8 +1803,8 @@ pub fn fleet_f1(seed: u64) -> Table {
     for (bus_label, bus) in f1_buses(Nanos::from_micros(100)) {
         row(bus_label, "-", "base", &base);
         for depth in 1..=3u8 {
-            let r = run_fleet(
-                fleet_cfg(seed, shards, depth, bus, true),
+            let r = suite.fleet(
+                fleet_cfg(suite.seed, shards, depth, bus, true),
                 F1_SLICES,
                 F1_SLICE_SECS,
                 jobs,
@@ -1839,13 +1821,13 @@ pub fn fleet_f1(seed: u64) -> Table {
 /// same events, same sessions, same bus counters, bit for bit. The
 /// digest is over [`FleetReport::canonical`], which excludes every
 /// wall-clock and host-configuration field.
-pub fn fleet_f2(seed: u64) -> Table {
-    let shards = fleet_shards().min(6);
+pub fn fleet_f2(suite: &Suite) -> Table {
+    let shards = suite.shards.min(6);
     let bus = f1_buses(Nanos::from_micros(100))
         .pop()
         .expect("bus sweep is non-empty")
         .1;
-    let cfg = fleet_cfg(seed, shards, 2, bus, true);
+    let cfg = fleet_cfg(suite.seed, shards, 2, bus, true);
     let mut t = Table::new(
         "F2 — N-shard replay bit-identity across thread counts",
         &["run", "shards", "depth", "events", "completed", "digest", "matches jobs=1"],
@@ -1853,7 +1835,7 @@ pub fn fleet_f2(seed: u64) -> Table {
     let runs = [("jobs=1", 1usize), ("jobs=4", 4), ("replay jobs=1", 1)];
     let mut first: Option<u64> = None;
     for (label, jobs) in runs {
-        let r = run_fleet(cfg, 2, 20, jobs);
+        let r = suite.fleet(cfg, 2, 20, jobs);
         let digest = r.digest();
         let reference = *first.get_or_insert(digest);
         let completed: u64 = r.per_shard.iter().map(|s| s.completed).sum();
@@ -1909,66 +1891,60 @@ pub fn experiment_ids() -> &'static [&'static str] {
     ]
 }
 
-/// Runs one experiment unit with the given seed, returning its `(slug,
-/// table)` pairs (slugs name the CSV files). `None` for an unknown id.
-pub fn run_experiment(id: &str, seed: u64) -> Option<Vec<(String, Table)>> {
+/// Runs one experiment unit in `suite`, returning its `(slug, table)`
+/// pairs (slugs name the CSV files). `None` for an unknown id.
+pub fn run_experiment(id: &str, suite: &Suite) -> Option<Vec<(String, Table)>> {
     fn one(slug: &str, t: Table) -> Option<Vec<(String, Table)>> {
         Some(vec![(slug.to_owned(), t)])
     }
     match id {
-        "fig2" => one("fig2", fig2(seed)),
-        "table1" => one("table1", table1(seed)),
-        "fig4" => one("fig4", fig4(seed)),
-        "fig4_browsing" => one("fig4_browsing", fig4_browsing(seed)),
-        "table2" => one("table2", table2(seed)),
-        "fig5" => one("fig5", fig5(seed)),
-        "fig6" => one("fig6", fig6(seed)),
+        "fig2" => one("fig2", fig2(suite)),
+        "table1" => one("table1", table1(suite)),
+        "fig4" => one("fig4", fig4(suite)),
+        "fig4_browsing" => one("fig4_browsing", fig4_browsing(suite)),
+        "table2" => one("table2", table2(suite)),
+        "fig5" => one("fig5", fig5(suite)),
+        "fig6" => one("fig6", fig6(suite)),
         "fig7" => {
-            let (series, summary) = fig7(seed);
+            let (series, summary) = fig7(suite);
             Some(vec![
                 ("fig7_series".to_owned(), series),
                 ("fig7_summary".to_owned(), summary),
             ])
         }
-        "table3" => one("table3", table3(seed)),
-        "a1_channel_latency" => one("a1_channel_latency", ablation_a1(seed)),
-        "a2_hysteresis" => one("a2_hysteresis", ablation_a2(seed)),
-        "a3_notification" => one("a3_notification", ablation_a3(seed)),
-        "a4_ixp_threads" => one("a4_ixp_threads", ablation_a4(seed)),
-        "a5_trigger_rate" => one("a5_trigger_rate", ablation_a5(seed)),
-        "a6_accounting_mode" => one("a6_accounting_mode", ablation_a6(seed)),
-        "a1_price_of_anarchy" => one("a1_price_of_anarchy", anarchy_a1(seed)),
-        "p1_power_capping" => one("p1_power_capping", extension_p1(seed)),
-        "s1_fabric_scalability" => one("s1_fabric_scalability", extension_s1(seed)),
-        "r1_loss_sweep" => one("r1_loss_sweep", reliability_r1(seed)),
-        "r2_reliability" => one("r2_reliability", reliability_r2(seed)),
-        "i1_inference_batching" => one("i1_inference_batching", inference_i1(seed)),
-        "i2_batch_preemption" => one("i2_batch_preemption", inference_i2(seed)),
-        "e1_energy_qos" => one("e1_energy_qos", energy_e1(seed)),
-        "e2_energy_ablation" => one("e2_energy_ablation", energy_e2(seed)),
-        "f1_fleet_scale" => one("f1_fleet_scale", fleet_f1(seed)),
-        "f2_fleet_determinism" => one("f2_fleet_determinism", fleet_f2(seed)),
-        "overhead" => one("overhead", coordination_overhead(seed)),
+        "table3" => one("table3", table3(suite)),
+        "a1_channel_latency" => one("a1_channel_latency", ablation_a1(suite)),
+        "a2_hysteresis" => one("a2_hysteresis", ablation_a2(suite)),
+        "a3_notification" => one("a3_notification", ablation_a3(suite)),
+        "a4_ixp_threads" => one("a4_ixp_threads", ablation_a4(suite)),
+        "a5_trigger_rate" => one("a5_trigger_rate", ablation_a5(suite)),
+        "a6_accounting_mode" => one("a6_accounting_mode", ablation_a6(suite)),
+        "a1_price_of_anarchy" => one("a1_price_of_anarchy", anarchy_a1(suite)),
+        "p1_power_capping" => one("p1_power_capping", extension_p1(suite)),
+        "s1_fabric_scalability" => one("s1_fabric_scalability", extension_s1(suite)),
+        "r1_loss_sweep" => one("r1_loss_sweep", reliability_r1(suite)),
+        "r2_reliability" => one("r2_reliability", reliability_r2(suite)),
+        "i1_inference_batching" => one("i1_inference_batching", inference_i1(suite)),
+        "i2_batch_preemption" => one("i2_batch_preemption", inference_i2(suite)),
+        "e1_energy_qos" => one("e1_energy_qos", energy_e1(suite)),
+        "e2_energy_ablation" => one("e2_energy_ablation", energy_e2(suite)),
+        "f1_fleet_scale" => one("f1_fleet_scale", fleet_f1(suite)),
+        "f2_fleet_determinism" => one("f2_fleet_determinism", fleet_f2(suite)),
+        "overhead" => one("overhead", coordination_overhead(suite)),
         _ => None,
     }
 }
 
-/// Runs the given experiment units on up to `jobs` workers and returns
-/// their tables merged in submission order — byte-identical to a serial
-/// run with the same seed.
-pub fn run_experiments(jobs: usize, ids: Vec<&str>, seed: u64) -> Vec<(String, Table)> {
-    pool::parallel_map(jobs, ids, |id| {
-        run_experiment(id, seed).unwrap_or_else(|| panic!("unknown experiment id '{id}'"))
+/// Runs the given experiment units on up to `suite.jobs` workers and
+/// returns their tables merged in submission order — byte-identical to
+/// a serial run with the same seed.
+pub fn run_experiments(suite: &Suite, ids: Vec<&str>) -> Vec<(String, Table)> {
+    pool::parallel_map(suite.jobs, ids, |id| {
+        run_experiment(id, suite).unwrap_or_else(|| panic!("unknown experiment id '{id}'"))
     })
     .into_iter()
     .flatten()
     .collect()
-}
-
-/// Everything, in paper order, on one worker with the default seed.
-/// Returns `(slug, table)` pairs; slugs name the CSV files.
-pub fn all_experiments() -> Vec<(String, Table)> {
-    run_experiments(1, experiment_ids().to_vec(), SEED)
 }
 
 #[cfg(test)]
@@ -2002,9 +1978,13 @@ mod tests {
         assert_eq!(yesno(false), "NO");
     }
 
+    fn suite() -> Suite {
+        Suite::new(SEED, None, 1, FLEET_SHARDS)
+    }
+
     #[test]
     fn fig2_rows_have_ordered_summary_statistics() {
-        let t = fig2(SEED);
+        let t = fig2(&suite());
         assert!(!t.is_empty(), "fig2 reports at least one request type");
         for row in csv_rows(&t) {
             assert_eq!(row.len(), 7, "type,min,max,mean,sd,p95,p99");
@@ -2021,7 +2001,7 @@ mod tests {
 
     #[test]
     fn table3_change_column_matches_its_inputs() {
-        let t = table3(SEED);
+        let t = table3(&suite());
         let rows = csv_rows(&t);
         assert_eq!(rows.len(), 2, "one row per guest domain");
         for row in rows {

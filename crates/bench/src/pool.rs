@@ -44,32 +44,10 @@ pub fn take_jobs_flag(args: &mut Vec<String>) -> usize {
     jobs.map(|n| n.max(1)).unwrap_or_else(default_jobs)
 }
 
-/// Strips an `--island-threads N` / `--island-threads=N` flag from `args`
-/// and returns the requested per-run PDES island worker count, defaulting
-/// to 1 (the exact serial master loop). Orthogonal to `--jobs`: jobs fan
-/// whole experiments across workers, island threads sit inside one
-/// [`platform::Platform`] run.
-pub fn take_island_threads_flag(args: &mut Vec<String>) -> usize {
-    let mut threads = None;
-    let mut i = 0;
-    while i < args.len() {
-        if let Some(v) = args[i].strip_prefix("--island-threads=") {
-            threads = v.parse::<usize>().ok();
-            args.remove(i);
-        } else if args[i] == "--island-threads" && i + 1 < args.len() {
-            threads = args[i + 1].parse::<usize>().ok();
-            args.drain(i..=i + 1);
-        } else {
-            i += 1;
-        }
-    }
-    threads.map(|n| n.max(1)).unwrap_or(1)
-}
-
 /// Strips a `--shards N` / `--shards=N` flag from `args` and returns the
 /// requested fleet shard count, if any. `None` leaves the fleet
-/// experiments on their default (12-shard) fleet; the value is clamped
-/// by `bench::set_fleet_shards`.
+/// experiments on their default [`crate::FLEET_SHARDS`]-shard fleet;
+/// [`crate::Suite::new`] clamps the value.
 pub fn take_shards_flag(args: &mut Vec<String>) -> Option<u16> {
     let mut shards = None;
     let mut i = 0;
@@ -230,18 +208,5 @@ mod tests {
         assert!(args.is_empty());
         let mut args: Vec<String> = ["fleet"].iter().map(|s| s.to_string()).collect();
         assert_eq!(take_shards_flag(&mut args), None, "default is no override");
-    }
-
-    #[test]
-    fn island_threads_flag_parsing() {
-        let mut args: Vec<String> =
-            ["all", "--island-threads", "3"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_island_threads_flag(&mut args), 3);
-        assert_eq!(args, ["all"]);
-        let mut args: Vec<String> =
-            ["--island-threads=0"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_island_threads_flag(&mut args), 1, "zero clamps to serial");
-        let mut args: Vec<String> = ["all"].iter().map(|s| s.to_string()).collect();
-        assert_eq!(take_island_threads_flag(&mut args), 1, "default is serial");
     }
 }

@@ -1,59 +1,7 @@
-//! Shared run-loop and reporting scaffolding for the probe binaries
-//! (`probe`, `sweep`, `schedprobe`) — each used to carry its own copy.
+//! Reporting helpers shared by the experiment harness and the `probe`
+//! binary.
 
 use platform::RunReport;
-use simcore::Nanos;
-use xsched::{CreditScheduler, DomId};
-
-/// The overall RUBiS response summary the calibration tools compare:
-/// throughput, response moments, and guest-side drops.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RubisOut {
-    /// Requests per second.
-    pub throughput: f64,
-    /// Mean response time (ms).
-    pub mean: f64,
-    /// Response-time standard deviation (ms).
-    pub sd: f64,
-    /// Maximum response time (ms).
-    pub max: f64,
-    /// Packets dropped at the guest receive queues.
-    pub drops: u64,
-}
-
-impl RubisOut {
-    /// Extracts the summary from a run report.
-    pub fn of(r: &RunReport) -> RubisOut {
-        let o = r.rubis.responses.overall();
-        RubisOut {
-            throughput: r.rubis.throughput,
-            mean: o.mean(),
-            sd: o.std_dev(),
-            max: o.max(),
-            drops: r.net.guest_drops,
-        }
-    }
-
-    /// Element-wise mean of several summaries (seed averaging).
-    pub fn average(outs: &[RubisOut]) -> RubisOut {
-        let n = outs.len().max(1) as f64;
-        let mut acc = RubisOut::default();
-        for o in outs {
-            acc.throughput += o.throughput;
-            acc.mean += o.mean;
-            acc.sd += o.sd;
-            acc.max += o.max;
-            acc.drops += o.drops;
-        }
-        RubisOut {
-            throughput: acc.throughput / n,
-            mean: acc.mean / n,
-            sd: acc.sd / n,
-            max: acc.max / n,
-            drops: acc.drops / outs.len().max(1) as u64,
-        }
-    }
-}
 
 /// Fraction of the QoS gap that strategic tenants open — measured as a
 /// mean-response-time increase over the honest baseline — which the
@@ -132,13 +80,12 @@ pub fn print_accel(r: &RunReport) {
 pub fn print_islands(r: &RunReport) {
     let i = &r.events_by_island;
     println!(
-        "  islands: x86 {} ixp {} accel {}  sync points {}  epoch {} us  threads {}",
+        "  islands: x86 {} ixp {} accel {}  sync points {}  epoch {} us",
         i.x86,
         i.ixp,
         i.accel,
         i.sync_points,
         i.epoch_ns as f64 / 1e3,
-        i.island_threads,
     );
 }
 
@@ -262,32 +209,6 @@ pub fn print_responses(r: &RunReport) {
             s.min(),
             s.max()
         );
-    }
-}
-
-/// Prints the usage snapshot lines for a raw scheduler probe.
-pub fn print_sched_usage(s: &mut CreditScheduler, doms: &[(DomId, &str)]) {
-    let snap = s.usage_snapshot();
-    for &(d, name) in doms {
-        println!(
-            "{name}: {:.1}% steal {:.1} credit {:?}",
-            snap.cpu_percent(d),
-            snap.steal_percent(d),
-            s.credit(d)
-        );
-    }
-}
-
-/// Drives a scheduler forward, discarding completion events, until its
-/// horizon passes `t_end` (or it idles).
-pub fn drive_sched_until(s: &mut CreditScheduler, t_end: Nanos) {
-    let mut evs = Vec::new();
-    while let Some(t) = s.next_event_time() {
-        if t > t_end {
-            break;
-        }
-        evs.clear();
-        s.on_timer(t, &mut evs);
     }
 }
 

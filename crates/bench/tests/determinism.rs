@@ -1,8 +1,8 @@
 //! Serial vs parallel determinism of the experiment harness: with
-//! identical seeds, the merged experiment tables must be byte-identical
-//! whether the (independent) experiment units run on one worker or many.
-//! Runs under a short smoke cap — determinism does not depend on the
-//! simulated duration.
+//! identical seeds, the merged experiment tables and the deterministic
+//! run totals must be identical whether the (independent) experiment
+//! units run on one worker or many. Runs under a short smoke cap —
+//! determinism does not depend on the simulated duration.
 //!
 //! Also the chaos differential: a platform built with an explicit
 //! [`ChaosPlan::none()`] must be bit-identical to one that never heard
@@ -36,16 +36,29 @@ fn render(tables: &[(String, Table)]) -> String {
 
 #[test]
 fn serial_and_parallel_experiments_are_byte_identical() {
-    bench::set_smoke_cap_secs(2);
     let ids = bench::experiment_ids().to_vec();
+    // Everything a suite totals up except the summed wall clock is a
+    // function of the seed and configuration.
+    let deterministic =
+        |s: &bench::Suite| bench::Totals { run_wall_micros: 0, ..s.totals() };
     for seed in [bench::SEED, 7, 1234] {
-        let serial = render(&bench::run_experiments(1, ids.clone(), seed));
-        let parallel = render(&bench::run_experiments(4, ids.clone(), seed));
+        let serial_suite = bench::Suite::new(seed, Some(2), 1, bench::FLEET_SHARDS);
+        let parallel_suite = bench::Suite::new(seed, Some(2), 4, bench::FLEET_SHARDS);
+        let serial = render(&bench::run_experiments(&serial_suite, ids.clone()));
+        let parallel = render(&bench::run_experiments(&parallel_suite, ids.clone()));
         assert_eq!(
             serial, parallel,
             "seed {seed}: parallel run diverged from serial"
         );
         assert!(!serial.is_empty());
+        let totals = deterministic(&serial_suite);
+        assert_eq!(
+            totals,
+            deterministic(&parallel_suite),
+            "seed {seed}: parallel run totals diverged from serial"
+        );
+        assert!(totals.events > 0 && totals.islands.sync_points > 0);
+        assert_eq!(totals.fleet.per_shard_events.len(), bench::FLEET_SHARDS as usize);
     }
 }
 
@@ -232,71 +245,6 @@ fn every_island_component_keeps_a_monotone_horizon() {
     assert!(drive_conformant("accel", &mut isl, 10_000) > 0);
 }
 
-// ----------------------------------------------------------------------
-// Serial vs PDES-parallel differential: dispatch order is conserved
-// ----------------------------------------------------------------------
-
-/// A run's full observable surface: the report fingerprint plus the
-/// rendered coordination trace.
-fn run_surface(sim: &mut platform::Platform, dur: Nanos, threads: usize) -> (Vec<u64>, Vec<String>) {
-    let fp = fingerprint(&sim.run_with(dur, threads));
-    let trace = sim
-        .coordination_trace()
-        .map(|(t, line)| format!("{} {line}", t.as_nanos()))
-        .collect();
-    (fp, trace)
-}
-
-#[test]
-fn island_threads_do_not_change_any_run() {
-    use platform::{FaultProfile, Jitter, ReliableConfig};
-    let dur = Nanos::from_secs(2);
-    let faulty = FaultProfile::none()
-        .with_drop(0.10)
-        .with_dup(0.05)
-        .with_jitter(Jitter::Exponential { mean: Nanos::from_micros(20) });
-    for seed in [bench::SEED, 7, 1234] {
-        for faults in [None, Some(faulty)] {
-            for chaos in [None, Some(ChaosPlan::seeded(seed, 6))] {
-                let build_rubis = || {
-                    let mut b = PlatformBuilder::new().seed(seed).policy(PolicyKind::RequestType);
-                    if let Some(profile) = faults {
-                        b = b.fault_profile(profile).reliable_delivery(ReliableConfig::default());
-                    }
-                    if let Some(plan) = chaos.clone() {
-                        b = b.chaos(plan);
-                    }
-                    b.build_rubis(RubisScenario::read_write_mix(8))
-                };
-                let build_inference = || {
-                    let mut b =
-                        PlatformBuilder::new().seed(seed).policy(PolicyKind::InferenceBatch);
-                    if let Some(profile) = faults {
-                        b = b.fault_profile(profile).reliable_delivery(ReliableConfig::default());
-                    }
-                    if let Some(plan) = chaos.clone() {
-                        b = b.chaos(plan);
-                    }
-                    b.build_inference(InferenceScenario::mixed_tenants())
-                };
-                let ctx = format!(
-                    "seed {seed}, faults {}, chaos {}",
-                    faults.is_some(),
-                    chaos.is_some()
-                );
-                let serial = run_surface(&mut build_rubis(), dur, 1);
-                for threads in [2, 3] {
-                    let par = run_surface(&mut build_rubis(), dur, threads);
-                    assert_eq!(serial, par, "rubis diverged with {threads} threads ({ctx})");
-                }
-                let serial = run_surface(&mut build_inference(), dur, 1);
-                let par = run_surface(&mut build_inference(), dur, 3);
-                assert_eq!(serial, par, "inference diverged with 3 threads ({ctx})");
-            }
-        }
-    }
-}
-
 #[test]
 fn registry_ids_are_unique_and_unknown_ids_are_rejected() {
     let ids = bench::experiment_ids();
@@ -304,5 +252,6 @@ fn registry_ids_are_unique_and_unknown_ids_are_rejected() {
     sorted.sort_unstable();
     sorted.dedup();
     assert_eq!(sorted.len(), ids.len(), "duplicate experiment id");
-    assert!(bench::run_experiment("no_such_experiment", 1).is_none());
+    let suite = bench::Suite::new(1, Some(1), 1, bench::FLEET_SHARDS);
+    assert!(bench::run_experiment("no_such_experiment", &suite).is_none());
 }

@@ -96,10 +96,9 @@ impl FleetReport {
 
     /// A canonical, thread-count-independent rendering of the report.
     ///
-    /// Floats print with fixed precision and `island_threads` (a host
-    /// configuration knob, not a simulation outcome) is excluded, so the
-    /// string — and the digest over it — is the shard determinism
-    /// contract in one value.
+    /// Floats print with fixed precision and the per-run `epoch_ns` is
+    /// excluded, so the string — and the digest over it — is the shard
+    /// determinism contract in one value.
     pub fn canonical(&self) -> String {
         let mut s = String::new();
         let _ = write!(
@@ -227,10 +226,9 @@ mod tests {
         assert_eq!(a.digest(), b.digest());
         b.per_shard[1].completed += 1;
         assert_ne!(a.digest(), b.digest());
-        // island_threads is excluded: a host knob must not change the
-        // digest.
+        // epoch_ns is per-run configuration, not an outcome.
         let mut c = report();
-        c.islands.island_threads = 4;
+        c.islands.epoch_ns = 2_000;
         assert_eq!(a.digest(), c.digest());
     }
 }

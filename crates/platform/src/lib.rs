@@ -51,7 +51,6 @@ mod world;
 pub use config::{
     EnergyConfig, InferenceScenario, MplayerScenario, PlatformBuilder, PlayerSpec, RubisScenario,
 };
-pub use pdes::LookaheadPlan;
 pub use report::{
     AccelReport, AccelTenantReport, CoordReport, DomCpu, EnergyReport, IslandEvents, NetReport,
     PlayerReport, PowerReport, RubisReport, RunReport, SimRate,

@@ -1,5 +1,5 @@
-//! Conservative barrier-epoch PDES across the platform's scheduling
-//! islands.
+//! The island partition and the conservative epoch barriers of the
+//! master loop.
 //!
 //! # Partition
 //!
@@ -23,17 +23,23 @@
 //!
 //! That minimum is the classical conservative-synchronization lookahead:
 //! between two barriers one epoch apart, nothing an island does can
-//! *reach* another island through a channel, so each island's horizon
-//! slice can be serviced concurrently. [`Platform::lookahead_plan`]
+//! *reach* another island through a channel. [`Platform::lookahead_epoch`]
 //! derives the epoch from the live lane configs (mailbox latencies, DMA
 //! base latency, submission-DMA latency, wire latency), clamped to at
 //! least one nanosecond.
 //!
-//! # Why dispatch order stays global
+//! # What the barriers are used for
 //!
-//! The committed artifacts are byte-identity invariants, and this model
-//! couples islands at *zero* latency in three host-mediated places that
-//! bypass the latency-bearing channels:
+//! The master loop dispatches in global `(time, source index)` order and
+//! counts each epoch-barrier crossing as a `sync_point`; in debug builds
+//! every crossing also re-derives all nine horizons from scratch and
+//! asserts the cache is coherent. The count is deterministic, reported in
+//! [`IslandEvents`], and hashed into the fleet determinism digest.
+//!
+//! # Why there is no parallel region
+//!
+//! This model couples islands at *zero* latency in three host-mediated
+//! places that bypass the latency-bearing channels:
 //!
 //! * guest delivery acknowledges IXP flow credit at the delivery
 //!   timestamp (`ixp.host_ack` from `deliver_to_guest`/`consume_rx`);
@@ -43,20 +49,14 @@
 //!   reliable-sender sequence space — at the classification timestamp.
 //!
 //! True island run-ahead would have to defer those edges by a channel
-//! latency, which changes timing and therefore every committed CSV. So
-//! the engine keeps the *dispatch* sequence in global `(time, source
-//! index)` order — byte-identity holds by construction, which is exactly
-//! the gate — and uses the epoch structure for what it can soundly
-//! parallelize today: servicing the per-island horizon slices on scoped
-//! worker threads at barriers, plus the barrier-cadence invariant sweep
-//! in debug builds. The partition, the epoch derivation, and the barrier
-//! bookkeeping are all exercised and reported (`events_by_island`), so a
-//! future PR that re-baselines artifacts can widen the parallel region
-//! without re-deriving the structure.
+//! latency, which changes timing and therefore every committed CSV.
+//! Without run-ahead, threads could only re-peek horizons the cache
+//! already holds; that service measured 0.94× the serial rate and was
+//! removed. Parallelism lives at the whole-run and fleet-shard level.
 
 use crate::report::IslandEvents;
 use crate::world::Platform;
-use simcore::{Component, Nanos};
+use simcore::Nanos;
 
 /// Island index of the x86 host (queue, sched, link, mailboxes, retx).
 pub(crate) const X86_ISLAND: usize = 0;
@@ -66,37 +66,6 @@ pub(crate) const IXP_ISLAND: usize = 1;
 pub(crate) const ACCEL_ISLAND: usize = 2;
 /// Number of scheduling islands.
 pub(crate) const N_ISLANDS: usize = 3;
-
-/// Epoch barriers between two threaded island-horizon services. Barrier
-/// *accounting* happens at every epoch crossing (cheap: a counter and,
-/// in debug builds, the invariant sweep), but spawning scoped workers is
-/// tens of microseconds of wall clock — with the default 2 µs epoch
-/// nearly every dispatch crosses a barrier, so a small stride would cost
-/// more than the dispatch loop itself. The service is a deterministic
-/// coherence self-heal, not a correctness requirement, so a sparse
-/// stride loses nothing.
-pub(crate) const SERVICE_INTERVAL: u64 = 4096;
-
-/// The conservative lookahead derivation: every latency-bearing
-/// cross-island channel's bound, and their minimum (the epoch).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LookaheadPlan {
-    /// One-way latency of the IXP→Dom0 coordination mailbox.
-    pub coord_mbx: Nanos,
-    /// One-way latency of the Dom0→IXP ack mailbox.
-    pub ack_mbx: Nanos,
-    /// One-way latency of the accelerator's doorbell lane.
-    pub accel_mbx: Nanos,
-    /// Per-transfer base latency of the PCIe link's DMA engine.
-    pub link_dma: Nanos,
-    /// Host→accelerator submission DMA latency.
-    pub accel_dma: Nanos,
-    /// Wire latency between clients and the IXP's receive port.
-    pub wire: Nanos,
-    /// The conservative epoch: the minimum of every bound above,
-    /// clamped to at least 1 ns.
-    pub epoch: Nanos,
-}
 
 /// Per-run PDES bookkeeping accumulated by the master loop.
 #[derive(Debug, Clone, Copy)]
@@ -109,29 +78,25 @@ pub(crate) struct PdesStats {
     pub sync_points: u64,
     /// The conservative epoch the run used.
     pub epoch: Nanos,
-    /// Island worker threads the run used.
-    pub threads: usize,
 }
 
 impl PdesStats {
-    pub(crate) fn new(epoch: Nanos, threads: usize) -> Self {
+    pub(crate) fn new(epoch: Nanos) -> Self {
         PdesStats {
             events: 0,
             by_island: [0; N_ISLANDS],
             sync_points: 0,
             epoch,
-            threads,
         }
     }
 
-    /// The report block (deterministic: identical for any thread count).
+    /// The report block (deterministic: a function of seed and config).
     pub(crate) fn island_events(&self) -> IslandEvents {
         IslandEvents {
             x86: self.by_island[X86_ISLAND],
             ixp: self.by_island[IXP_ISLAND],
             accel: self.by_island[ACCEL_ISLAND],
             sync_points: self.sync_points,
-            island_threads: self.threads as u64,
             epoch_ns: self.epoch.as_nanos(),
         }
     }
@@ -147,95 +112,22 @@ pub(crate) fn next_boundary(t: Nanos, epoch: Nanos) -> Nanos {
 }
 
 impl Platform {
-    /// Derives the conservative PDES lookahead from the live channel
-    /// configurations. Deterministic and stable across a run: every
-    /// latency that feeds it is fixed at build time (the chaos jitter
-    /// hook restores the mailbox latency after each per-message
-    /// override, and the epoch is not re-derived mid-run).
-    pub fn lookahead_plan(&self) -> LookaheadPlan {
-        let coord_mbx = self.mbx.latency();
-        let ack_mbx = self.ack_mbx.latency();
-        let accel_mbx = self.accel_mbx.latency();
-        let link_dma = self.link.lookahead();
-        let accel_dma = self.accel_dma;
-        let wire = self.costs.wire_latency;
-        let epoch = coord_mbx
-            .min(ack_mbx)
-            .min(accel_mbx)
-            .min(link_dma)
-            .min(accel_dma)
-            .min(wire)
-            .max(Nanos::from_nanos(1));
-        LookaheadPlan { coord_mbx, ack_mbx, accel_mbx, link_dma, accel_dma, wire, epoch }
-    }
-
-    /// Services every island's horizon slice concurrently on scoped
-    /// worker threads: one worker re-peeks the IXP island, one the
-    /// accelerator island (with `threads == 2` the coordinating thread
-    /// absorbs it), while the coordinating thread services the x86
-    /// slice. Peeks are `&self` reads through each component's
-    /// [`Component`] face, and by the cache invariant every value
-    /// written back equals the cached one — so this is observably a
-    /// no-op in a correct build, deterministic in any build, and a
-    /// self-heal for a missed dirty mark in release builds.
-    pub(crate) fn service_islands_parallel(&mut self, threads: usize) {
-        let Platform {
-            q,
-            sched,
-            ixp,
-            link,
-            mbx,
-            ack_mbx,
-            rel_tx,
-            accel,
-            accel_mbx,
-            horizons,
-            ..
-        } = self;
-        let ixp_ref: &ixp::IxpIsland = ixp;
-        let accel_ref: Option<&accel::AccelIsland> = accel.as_ref();
-        let accel_mbx_ref: &pcie::Mailbox<Vec<u8>> = accel_mbx;
-        let accel_slice = || {
-            [
-                accel_ref
-                    .and_then(Component::next_event_time)
-                    .unwrap_or(Nanos::MAX),
-                Component::next_event_time(accel_mbx_ref).unwrap_or(Nanos::MAX),
-            ]
-        };
-        let (ixp_h, accel_h, x86_h) = std::thread::scope(|s| {
-            let ixp_worker =
-                s.spawn(move || Component::next_event_time(ixp_ref).unwrap_or(Nanos::MAX));
-            let accel_worker = (threads > 2).then(|| s.spawn(accel_slice));
-            let x86_h = [
-                Component::next_event_time(&*q).unwrap_or(Nanos::MAX),
-                Component::next_event_time(&*sched).unwrap_or(Nanos::MAX),
-                Component::next_event_time(&*link).unwrap_or(Nanos::MAX),
-                Component::next_event_time(&*mbx).unwrap_or(Nanos::MAX),
-                Component::next_event_time(&*ack_mbx).unwrap_or(Nanos::MAX),
-                rel_tx
-                    .as_ref()
-                    .and_then(Component::next_event_time)
-                    .unwrap_or(Nanos::MAX),
-            ];
-            let ixp_h = ixp_worker.join().expect("ixp island worker");
-            let accel_h = match accel_worker {
-                Some(w) => w.join().expect("accel island worker"),
-                None => accel_slice(),
-            };
-            (ixp_h, accel_h, x86_h)
-        });
-        // Write-back in global source order (x86 slice interleaves with
-        // the others by construction of the bit assignments).
-        horizons.set(0, x86_h[0]);
-        horizons.set(1, x86_h[1]);
-        horizons.set(2, ixp_h);
-        horizons.set(3, x86_h[2]);
-        horizons.set(4, x86_h[3]);
-        horizons.set(5, x86_h[4]);
-        horizons.set(6, x86_h[5]);
-        horizons.set(7, accel_h[0]);
-        horizons.set(8, accel_h[1]);
+    /// The conservative PDES lookahead: the minimum latency of every
+    /// cross-island channel (both coordination mailboxes, the doorbell
+    /// lane, the PCIe link's DMA base, the accelerator's submission DMA
+    /// and the wire), clamped to at least 1 ns. Every input is fixed at
+    /// build time (the chaos jitter hook restores the mailbox latency
+    /// after each per-message override), so the epoch is stable across
+    /// a run.
+    pub(crate) fn lookahead_epoch(&self) -> Nanos {
+        self.mbx
+            .latency()
+            .min(self.ack_mbx.latency())
+            .min(self.accel_mbx.latency())
+            .min(self.link.lookahead())
+            .min(self.accel_dma)
+            .min(self.costs.wire_latency)
+            .max(Nanos::from_nanos(1))
     }
 }
 
@@ -260,37 +152,18 @@ mod tests {
 
     #[test]
     fn epoch_is_the_minimum_channel_bound() {
+        // The default platform's tightest bound is the PCIe DMA base.
         let sim = PlatformBuilder::new()
             .coord_latency(Nanos::from_micros(30))
             .build_rubis(RubisScenario::read_write_mix(4));
-        let plan = sim.lookahead_plan();
-        let min = plan
-            .coord_mbx
-            .min(plan.ack_mbx)
-            .min(plan.accel_mbx)
-            .min(plan.link_dma)
-            .min(plan.accel_dma)
-            .min(plan.wire);
-        assert_eq!(plan.epoch, min);
-        assert!(plan.epoch > Nanos::ZERO);
-        // The default platform's tightest bound is the PCIe DMA base.
-        assert_eq!(plan.epoch, plan.link_dma);
-    }
-
-    #[test]
-    fn service_islands_matches_the_serial_refresh() {
-        for threads in [2, 3, 8] {
-            let mut sim = PlatformBuilder::new()
-                .seed(11)
-                .build_rubis(RubisScenario::read_write_mix(4));
-            // Populate real horizons by running a little first.
-            sim.run(Nanos::from_millis(50));
-            let serial: Vec<Nanos> =
-                (0..crate::world::horizon::NSRC).map(|i| sim.fresh_horizon(i)).collect();
-            sim.service_islands_parallel(threads);
-            for (i, &want) in serial.iter().enumerate() {
-                assert_eq!(sim.horizons.get(i), want, "slot {i}, threads {threads}");
-            }
-        }
+        assert_eq!(sim.lookahead_epoch(), sim.link.lookahead());
+        assert!(sim.lookahead_epoch() > Nanos::ZERO);
+        // A coordination mailbox faster than the DMA base takes over.
+        let fast = Nanos::from_nanos(500);
+        assert!(fast < sim.link.lookahead());
+        let sim = PlatformBuilder::new()
+            .coord_latency(fast)
+            .build_rubis(RubisScenario::read_write_mix(4));
+        assert_eq!(sim.lookahead_epoch(), fast);
     }
 }

@@ -206,9 +206,7 @@ impl EnergyReport {
 /// scheduling island absorbed, plus the PDES epoch-barrier bookkeeping.
 ///
 /// Unlike [`SimRate`] these counts are fully deterministic — they depend
-/// only on the seed and configuration, and are identical between
-/// `--island-threads 1` and `--island-threads N` runs (the determinism
-/// suite asserts this).
+/// only on the seed and configuration.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IslandEvents {
     /// Events dispatched to the x86 host island (master queue, credit
@@ -220,11 +218,8 @@ pub struct IslandEvents {
     /// Events dispatched to the accelerator island (batch engine and its
     /// doorbell lane); 0 on two-island platforms.
     pub accel: u64,
-    /// Conservative epoch barriers the run crossed (counted in serial
-    /// mode too, so serial and parallel runs are comparable).
+    /// Conservative epoch barriers the run crossed.
     pub sync_points: u64,
-    /// Island worker threads the run used (1 = serial master loop).
-    pub island_threads: u64,
     /// The conservative epoch — the minimum cross-island channel
     /// lookahead — in nanoseconds.
     pub epoch_ns: u64,
@@ -232,14 +227,13 @@ pub struct IslandEvents {
 
 impl IslandEvents {
     /// Folds another run's per-island counts into this one (fleet report
-    /// aggregation: shard counts sum; `island_threads` and `epoch_ns` are
-    /// configuration, so the fold keeps the maximum it has seen).
+    /// aggregation: shard counts sum; `epoch_ns` is configuration, so
+    /// the fold keeps the maximum it has seen).
     pub fn accumulate(&mut self, other: &IslandEvents) {
         self.x86 += other.x86;
         self.ixp += other.ixp;
         self.accel += other.accel;
         self.sync_points += other.sync_points;
-        self.island_threads = self.island_threads.max(other.island_threads);
         self.epoch_ns = self.epoch_ns.max(other.epoch_ns);
     }
 }

@@ -415,8 +415,6 @@ pub struct Platform {
     /// nine virtual calls (one of which — the reliable sender's timer —
     /// is O(pending)).
     pub(crate) horizons: HorizonCache<{ horizon::NSRC }>,
-    /// Island worker threads used by [`run`](Self::run) (1 = serial).
-    pub(crate) island_threads: usize,
 }
 
 impl std::fmt::Debug for Platform {
@@ -536,7 +534,6 @@ impl Platform {
             scratch_accel_mbx: Vec::new(),
             scratch_ev: Vec::new(),
             horizons: HorizonCache::new(),
-            island_threads: b.island_threads,
         }
     }
 
@@ -872,29 +869,13 @@ impl Platform {
     // Main loop
     // ------------------------------------------------------------------
 
-    /// Runs the simulation for `duration` and returns the measurements,
-    /// using the configured island-thread count (default 1 = serial).
+    /// Runs the simulation for `duration` and returns the measurements.
     ///
     /// Each iteration refreshes the dirty entries of the horizon cache —
     /// all O(1) reads: the queues keep a live head and the scheduler
     /// memoises its horizon — and dispatches the earliest source through
     /// the [`SOURCES`] registry.
     pub fn run(&mut self, duration: Nanos) -> RunReport {
-        let threads = self.island_threads;
-        self.run_with(duration, threads)
-    }
-
-    /// [`run`](Self::run) with an explicit island worker-thread count.
-    ///
-    /// `island_threads = 1` is the serial master loop. With more
-    /// threads, the loop partitions the event sources into the three
-    /// scheduling islands (see [`crate::pdes`]), derives the
-    /// conservative epoch from the cross-island channel lookaheads, and
-    /// services island horizons on scoped worker threads at epoch
-    /// barriers. Dispatch order — and therefore every report, CSV and
-    /// trace — is bit-identical for any thread count; the determinism
-    /// suite asserts this across seeds, fault profiles and chaos plans.
-    pub fn run_with(&mut self, duration: Nanos, island_threads: usize) -> RunReport {
         let wall_start = std::time::Instant::now();
         let t_end = self.now + duration;
         self.run_end = t_end;
@@ -903,7 +884,7 @@ impl Platform {
         // Pre-run configuration (weights, alarms, repeated `run` calls)
         // may have moved any source; start from a full refresh.
         self.horizons.mark_all();
-        let stats = self.run_loop(t_end, island_threads.max(1));
+        let stats = self.run_loop(t_end);
         self.now = t_end;
         let mut evs = std::mem::take(&mut self.scratch_sched);
         self.sched.on_timer(t_end, &mut evs);
@@ -913,7 +894,7 @@ impl Platform {
         self.build_report(duration, stats, wall_micros)
     }
 
-    /// The master event loop, shared by the serial and parallel paths.
+    /// The master event loop.
     ///
     /// The loop's invariants:
     /// * every cached horizon whose dirty bit is clear equals a
@@ -923,14 +904,13 @@ impl Platform {
     /// * no source advances past another source's horizon.
     ///
     /// Epoch barriers land on multiples of the conservative lookahead
-    /// (the minimum cross-island channel latency): between two barriers
-    /// no island can affect another island's horizon through a channel,
-    /// so cross-island horizon refreshes can be serviced concurrently by
-    /// the island workers without changing any cached value.
-    fn run_loop(&mut self, t_end: Nanos, threads: usize) -> pdes::PdesStats {
-        let plan = self.lookahead_plan();
-        let mut stats = pdes::PdesStats::new(plan.epoch, threads);
-        let mut next_barrier = pdes::next_boundary(self.now, plan.epoch);
+    /// (the minimum cross-island channel latency, see [`crate::pdes`]);
+    /// each crossing counts one sync point and, in debug builds, runs
+    /// the horizon sweep.
+    fn run_loop(&mut self, t_end: Nanos) -> pdes::PdesStats {
+        let epoch = self.lookahead_epoch();
+        let mut stats = pdes::PdesStats::new(epoch);
+        let mut next_barrier = pdes::next_boundary(self.now, epoch);
         loop {
             let mut d = self.horizons.take_dirty();
             while d != 0 {
@@ -951,10 +931,7 @@ impl Platform {
                 stats.sync_points += 1;
                 #[cfg(debug_assertions)]
                 self.debug_check_horizons();
-                if threads > 1 && stats.sync_points.is_multiple_of(pdes::SERVICE_INTERVAL) {
-                    self.service_islands_parallel(threads);
-                }
-                next_barrier = pdes::next_boundary(t, plan.epoch);
+                next_barrier = pdes::next_boundary(t, epoch);
             }
             self.now = t;
             stats.events += 1;
@@ -1080,14 +1057,6 @@ impl Platform {
             self.handle_accel_delivery(m);
         }
         self.scratch_accel_mbx = msgs;
-    }
-
-    /// Overrides the island worker-thread count for subsequent
-    /// [`run`](Self::run) calls (the builder knob
-    /// [`PlatformBuilder::island_threads`] sets the initial value; the
-    /// bench harness sets this from `--island-threads`).
-    pub fn set_island_threads(&mut self, threads: usize) {
-        self.island_threads = threads.max(1);
     }
 
     fn start_workload(&mut self) {

@@ -4,17 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# The smoke passes below overwrite the committed tables in results/.
-# Copy the tracked files aside and put them back however the script
-# exits, so a CI run never leaves the goldens modified.
-results_backup=$(mktemp -d)
-{ git ls-files -z results 2>/dev/null || true; } \
-    | xargs -0 -r cp --parents -t "$results_backup"
-restore_results() {
-    [ -d "$results_backup/results" ] && cp -R "$results_backup/results/." results/
-    rm -rf "$results_backup"
-}
-trap restore_results EXIT
+# The experiments smoke passes below write to results/smoke/, never over
+# the committed tables in results/; the last step checks that no
+# tracked result changed.
 
 echo "==> cargo build --release --offline"
 cargo build --release --offline
@@ -42,7 +34,7 @@ echo "==> accel smoke pass (experiments inference --smoke --jobs 2)"
 python3 - <<'EOF'
 import csv, sys
 
-rows = list(csv.DictReader(open("results/i1_inference_batching.csv")))
+rows = list(csv.DictReader(open("results/smoke/i1_inference_batching.csv")))
 tenants = [r["tenant"] for r in rows]
 if tenants != ["chat", "vision", "rank", "embed"]:
     sys.exit(f"i1_inference_batching.csv: unexpected tenant rows {tenants}")
@@ -56,7 +48,7 @@ for r in rows:
         if float(r[col]) < 1.0:
             sys.exit(f"i1_inference_batching.csv: {r['tenant']} {col} below 1")
 
-rows = list(csv.DictReader(open("results/i2_batch_preemption.csv")))
+rows = list(csv.DictReader(open("results/smoke/i2_batch_preemption.csv")))
 bym = {r["Metric"]: r for r in rows}
 for t in ("chat", "vision", "rank", "embed"):
     for m in (f"{t} queue p99 ms", f"{t} mean batch"):
@@ -83,7 +75,7 @@ echo "==> experiments smoke pass (--smoke --jobs $smoke_jobs)"
 baseline=$(mktemp)
 git show HEAD:results/BENCH_experiments.json > "$baseline" 2>/dev/null || true
 ./target/release/experiments --smoke --jobs "$smoke_jobs" all > /dev/null
-report="results/BENCH_experiments.json"
+report="results/smoke/BENCH_experiments.json"
 [ -s "$report" ] || { echo "missing or empty $report" >&2; exit 1; }
 python3 -m json.tool "$report" > /dev/null \
     || { echo "$report is not valid JSON" >&2; exit 1; }
@@ -130,12 +122,12 @@ echo "==> fault-injection smoke checks (r1/r2 reliability tables)"
 python3 - <<'EOF'
 import csv, json, sys
 
-tables = json.load(open("results/BENCH_experiments.json"))["tables"]
+tables = json.load(open("results/smoke/BENCH_experiments.json"))["tables"]
 for slug in ("r1_loss_sweep", "r2_reliability"):
     if slug not in tables:
         sys.exit(f"{slug} missing from BENCH_experiments.json tables")
 
-rows = list(csv.DictReader(open("results/r1_loss_sweep.csv")))
+rows = list(csv.DictReader(open("results/smoke/r1_loss_sweep.csv")))
 if [r["loss %"] for r in rows] != ["0", "5", "10", "20"]:
     sys.exit("r1_loss_sweep.csv: unexpected loss sweep rows")
 clean = rows[0]
@@ -148,7 +140,7 @@ if not any(int(r["drops"]) > 0 for r in rows[1:]):
 if not any(int(r["retransmits"]) > 0 for r in rows[1:]):
     sys.exit("r1_loss_sweep.csv: no retransmissions recorded under nonzero loss")
 
-rows = list(csv.DictReader(open("results/r2_reliability.csv")))
+rows = list(csv.DictReader(open("results/smoke/r2_reliability.csv")))
 byv = {r["Variant"]: r for r in rows}
 faulty_ff = byv.get("f&f, faulty channel")
 faulty_ack = byv.get("ack/retry, faulty channel")
@@ -166,7 +158,7 @@ echo "==> adversarial-tenant smoke pass (experiments a1 --smoke)"
 python3 - <<'EOF'
 import csv, sys
 
-rows = list(csv.DictReader(open("results/a1_price_of_anarchy.csv")))
+rows = list(csv.DictReader(open("results/smoke/a1_price_of_anarchy.csv")))
 if [r["adversaries"] for r in rows] != ["0", "1", "2", "4"]:
     sys.exit("a1_price_of_anarchy.csv: unexpected adversary-count rows")
 cols = list(rows[0].keys())
@@ -189,7 +181,7 @@ echo "==> energy-controller smoke pass (experiments energy --smoke)"
 python3 - <<'EOF'
 import csv, sys
 
-rows = list(csv.DictReader(open("results/e1_energy_qos.csv")))
+rows = list(csv.DictReader(open("results/smoke/e1_energy_qos.csv")))
 cols = list(rows[0].keys())
 expect = ["Config", "joules", "mean W", "worst p99 ms", "p99 under target",
           "violations", "knob actions"]
@@ -208,7 +200,7 @@ if int(by["no management"]["knob actions"]) != 0:
 if int(by["coordinated energy"]["knob actions"]) == 0:
     sys.exit("e1_energy_qos.csv: coordinated run never moved a knob")
 
-rows = list(csv.DictReader(open("results/e2_energy_ablation.csv")))
+rows = list(csv.DictReader(open("results/smoke/e2_energy_ablation.csv")))
 configs = [r["Config"] for r in rows]
 if configs != ["frozen (all knobs pinned)", "dvfs only", "cache ways only",
                "membw share only", "coordinated (all three)"]:
@@ -234,7 +226,7 @@ echo "==> fleet smoke pass (experiments fleet --smoke)"
 python3 - <<'EOF'
 import csv, json, sys
 
-rows = list(csv.DictReader(open("results/f1_fleet_scale.csv")))
+rows = list(csv.DictReader(open("results/smoke/f1_fleet_scale.csv")))
 cols = list(rows[0].keys())
 expect = ["bus", "depth", "arm", "events", "offered", "adm %", "X (req/s)",
           "mean ms", "vs base %", "late %", "tunes l0/l1/l2", "drops"]
@@ -257,7 +249,7 @@ for r in rows:
 if not any(int(r["drops"]) > 0 for r in rows if r["bus"].startswith("lossy")):
     sys.exit("f1_fleet_scale.csv: lossy bus recorded no channel drops")
 
-rows = list(csv.DictReader(open("results/f2_fleet_determinism.csv")))
+rows = list(csv.DictReader(open("results/smoke/f2_fleet_determinism.csv")))
 if [r["run"] for r in rows] != ["jobs=1", "jobs=4", "replay jobs=1"]:
     sys.exit(f"f2_fleet_determinism.csv: unexpected runs {[r['run'] for r in rows]}")
 if len({r["digest"] for r in rows}) != 1:
@@ -265,7 +257,7 @@ if len({r["digest"] for r in rows}) != 1:
 if any(r["matches jobs=1"] != "yes" for r in rows):
     sys.exit("f2_fleet_determinism.csv: replay mismatch flagged")
 
-fleet = json.load(open("results/BENCH_experiments.json"))["fleet"]
+fleet = json.load(open("results/smoke/BENCH_experiments.json"))["fleet"]
 if fleet["runs"] <= 0 or fleet["events"] <= 0:
     sys.exit("BENCH_experiments.json: fleet block recorded no runs/events")
 if len(fleet["per_shard_events"]) != int(fleet["shards"]):
@@ -274,61 +266,21 @@ print("    ok: f1_fleet_scale.csv, f2_fleet_determinism.csv and fleet report ver
 EOF
 
 echo "==> fleet shard byte-identity (2 shards, --jobs 1 vs 4)"
-# ARCH_JOBS drives the *inner* shard fan-out (pool::default_jobs) while
-# --jobs fans whole experiments; vary both so the scoped-thread shard
-# merge itself is exercised, not just the outer experiment order.
+# --jobs fans both the whole experiments and F1's fleet shards, so the
+# two runs differ in the scoped-thread shard merge itself, not just in
+# the outer experiment order.
 fleet_tmp=$(mktemp -d)
-ARCH_JOBS=1 ./target/release/experiments --smoke --shards 2 --jobs 1 fleet > /dev/null
-cp results/f1_fleet_scale.csv results/f2_fleet_determinism.csv "$fleet_tmp/"
-ARCH_JOBS=4 ./target/release/experiments --smoke --shards 2 --jobs 4 fleet > /dev/null
+./target/release/experiments --smoke --shards 2 --jobs 1 fleet > /dev/null
+cp results/smoke/f1_fleet_scale.csv results/smoke/f2_fleet_determinism.csv "$fleet_tmp/"
+./target/release/experiments --smoke --shards 2 --jobs 4 fleet > /dev/null
 for csv in f1_fleet_scale f2_fleet_determinism; do
-    cmp "results/${csv}.csv" "$fleet_tmp/${csv}.csv" || {
+    cmp "results/smoke/${csv}.csv" "$fleet_tmp/${csv}.csv" || {
         echo "${csv}.csv differs between --jobs 1 and --jobs 4" >&2
         exit 1
     }
 done
 echo "    ok: 2-shard fleet CSVs byte-identical across worker counts"
 rm -rf "$fleet_tmp"
-
-echo "==> PDES island-threads smoke pass (i1 + a1 byte-identity vs serial)"
-pdes_tmp=$(mktemp -d)
-for sel in i1 a1; do
-    ./target/release/experiments --smoke "$sel" > /dev/null
-    cp results/BENCH_experiments.json "$pdes_tmp/${sel}_serial.json"
-    for csv in $(python3 -c "import json; print(' '.join(json.load(open('results/BENCH_experiments.json'))['tables']))"); do
-        cp "results/${csv}.csv" "$pdes_tmp/${csv}_serial.csv"
-    done
-    ./target/release/experiments --smoke --island-threads 3 "$sel" > /dev/null
-    for csv in $(python3 -c "import json; print(' '.join(json.load(open('results/BENCH_experiments.json'))['tables']))"); do
-        cmp "results/${csv}.csv" "$pdes_tmp/${csv}_serial.csv" || {
-            echo "${csv}.csv differs between --island-threads 1 and 3" >&2
-            exit 1
-        }
-    done
-    python3 - "$pdes_tmp/${sel}_serial.json" results/BENCH_experiments.json <<'EOF'
-import json, sys
-serial = json.load(open(sys.argv[1]))
-par = json.load(open(sys.argv[2]))
-si, pi = serial["events_by_island"], par["events_by_island"]
-for k in ("x86", "ixp", "accel", "sync_points"):
-    if si[k] != pi[k]:
-        sys.exit(f"events_by_island.{k} diverged: serial {si[k]} vs parallel {pi[k]}")
-sr, pr = serial["sim_rate"], par["sim_rate"]
-if sr["events"] != pr["events"]:
-    sys.exit(f"event counts diverged: serial {sr['events']} vs parallel {pr['events']}")
-# Warn-only rate comparison: island servicing is bounded overhead, not a
-# speedup (dispatch order is conserved), so only flag gross regressions.
-if sr["events_per_sec"] > 0:
-    ratio = pr["events_per_sec"] / sr["events_per_sec"]
-    print(f"    island-threads 3 rate: {ratio:.2f}x serial "
-          f"({pr['events_per_sec']:.0f} vs {sr['events_per_sec']:.0f} events/s)")
-    if ratio < 0.80:
-        print(f"    warning: parallel-islands pass ran {1 - ratio:.0%} "
-              f"slower than serial", file=sys.stderr)
-print(f"    ok: byte-identical CSVs and island counts for selection")
-EOF
-done
-rm -rf "$pdes_tmp"
 
 echo "==> chaos shrink replay check (SIMTEST_SEED reproducibility)"
 chaos_log=$(mktemp)
@@ -353,5 +305,14 @@ if [ "$shrunk" != "$replayed" ]; then
 fi
 echo "    ok: SIMTEST_SEED=$seed replays the identical shrunk counterexample"
 rm -f "$chaos_log" "$replay_log"
+
+echo "==> committed results unchanged"
+changed=$(git status --porcelain -- results)
+if [ -n "$changed" ]; then
+    echo "the CI pass changed files under results/:" >&2
+    echo "$changed" >&2
+    exit 1
+fi
+echo "    ok: git status is clean under results/"
 
 echo "CI pass complete."
